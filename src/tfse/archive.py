@@ -41,6 +41,13 @@ def _parse_shape(s: str) -> tuple[int, ...]:
         raise FormatError(f"bad shape field {s!r}") from None
 
 
+def _parse_int(s: str, what: str, path: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise FormatError(f"{path}: bad {what} field {s!r}") from None
+
+
 def save_tensors(path: str, tensors: Mapping[str, "np.ndarray | Tensor"]) -> None:
     """Write named arrays to `path`. Iteration order is preserved."""
     entries = []
@@ -80,7 +87,7 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         head = line().split()
         if len(head) != 2 or head[0] != "tensors":
             raise FormatError(f"{path}: bad tensor count line")
-        count = int(head[1])
+        count = _parse_int(head[1], "tensor count", path)
         entries = []
         for _ in range(count):
             parts = line().split()
@@ -89,7 +96,8 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             name, dtype, shape_s, off_s, nbytes_s = parts
             if dtype not in _DTYPES:
                 raise FormatError(f"{path}: unsupported dtype {dtype}")
-            entries.append((name, dtype, _parse_shape(shape_s), int(off_s), int(nbytes_s)))
+            off, nbytes = _parse_int(off_s, "offset", path), _parse_int(nbytes_s, "nbytes", path)
+            entries.append((name, dtype, _parse_shape(shape_s), off, nbytes))
         if line() != "payload":
             raise FormatError(f"{path}: missing payload marker")
         blob = fh.read()

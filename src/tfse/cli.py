@@ -66,7 +66,7 @@ def _check_scan_equivalence() -> tuple[bool, str]:
             ys = selective_scan_seq(u, delta, A, B, C, D).data
             yp = selective_scan_par(u, delta, A, B, C, D).data
             worst = max(worst, float(np.abs(ys - yp).max() / max(np.abs(ys).max(), 1e-12)))
-    return worst < 1e-10, f"parallel vs sequential rel diff {worst:.3e} (tol 1e-10)"
+    return worst < 1e-10, f"fused vs sequential rel diff {worst:.3e} (tol 1e-10)"
 
 
 def _check_recurrence_stabilizer() -> tuple[bool, str]:

@@ -99,7 +99,9 @@ def read_wav(path: str) -> Waveform:
     """Read a mono 16 kHz WAV file (16-bit PCM or 32-bit IEEE float).
 
     Raises:
-        FormatError: not a readable WAV encoding, or more than one channel.
+        FormatError: not a readable WAV encoding, more than one channel, a
+            chunk shorter than its declared size, or a data chunk that is
+            not a whole number of samples.
         SampleRateError: file is not at 16 kHz (no implicit resampling).
     """
     with open(path, "rb") as fh:
@@ -114,6 +116,9 @@ def read_wav(path: str) -> Waveform:
                 break
             cid, size = head[:4], struct.unpack("<I", head[4:])[0]
             body = fh.read(size)
+            if cid in (b"fmt ", b"data") and len(body) < size:
+                name = cid.decode().strip()
+                raise FormatError(f"{path}: {name} chunk declares {size} bytes, file holds {len(body)}")
             if size % 2:
                 fh.read(1)  # chunks are word-aligned
             if cid == b"fmt ":
@@ -122,6 +127,8 @@ def read_wav(path: str) -> Waveform:
                 data = body
         if fmt is None or data is None:
             raise FormatError(f"{path}: missing fmt or data chunk")
+    if len(fmt) < 16:
+        raise FormatError(f"{path}: fmt chunk of {len(fmt)} bytes is too short")
     tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if tag == 0xFFFE and len(fmt) >= 40:  # WAVE_FORMAT_EXTENSIBLE
         tag = struct.unpack("<H", fmt[24:26])[0]
@@ -130,12 +137,14 @@ def read_wav(path: str) -> Waveform:
     if rate != SAMPLE_RATE:
         raise SampleRateError(f"{path}: sample rate {rate} != {SAMPLE_RATE}; resample offline")
     if tag == _WAVE_FORMAT_PCM and bits == 16:
-        x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        dtype, scale = "<i2", 2.0**-15
     elif tag == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise FormatError(f"{path}: unsupported encoding (format tag {tag}, {bits}-bit)")
-    return Waveform(x, rate)
+    if len(data) % (bits // 8):
+        raise FormatError(f"{path}: data chunk of {len(data)} bytes is not whole {bits}-bit samples")
+    return Waveform(np.frombuffer(data, dtype=dtype).astype(np.float64) * scale, rate)
 
 
 def write_wav(path: str, w: Waveform, encoding: str = "pcm16") -> None:

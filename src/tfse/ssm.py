@@ -1,4 +1,4 @@
-"""Selective state-space blocks with sequential and parallel scans.
+"""Selective state-space blocks with a sequential reference scan and a fused scan.
 
 The recurrence per channel and state dim is
 
@@ -7,10 +7,21 @@ The recurrence per channel and state dim is
 
 with input-dependent delta, B, C (the selection mechanism) and A = -exp(A_log)
 strictly negative, so exp(delta*A) lies in (0, 1) and the state stays bounded
-for bounded inputs. Both scan engines build the same autodiff graph
-primitives, so gradients flow through either; the parallel engine is a
-Hillis-Steele log-doubling scan over the affine maps h -> a*h + b, whose
-composition law is (a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2).
+for bounded inputs.
+
+selective_scan_seq builds the recurrence from graph primitives one step at a
+time and is the reference. selective_scan_par is the engine the models use:
+one graph node whose forward runs the recurrence in place over a single
+d_inner x d_state state, O(L) work, and keeps the L x d_inner x d_state state
+history only when the graph is being recorded. Its backward is the reverse
+scan
+
+    dh_t = C_t (x) dy_t + exp(delta_{t+1} * A) * dh_{t+1}
+
+from which the gradients of all six inputs follow in closed form (the
+selective-scan kernel of Gu & Dao, Mamba, arXiv 2312.00752, section 3.3).
+Causal prefixes are bit-exact: h_t is computed from inputs up to t only,
+always in the same order, so frames after t cannot change y_t.
 """
 
 from __future__ import annotations
@@ -31,72 +42,68 @@ def _check_finite(name: str, *tensors: Tensor) -> None:
             raise NumericError(f"{name}: non-finite values in scan inputs")
 
 
-def _affine_scan(a: Tensor, b: Tensor) -> Tensor:
-    """Inclusive scan of h_t = a_t * h_{t-1} + b_t with h_0 = 0.
-
-    a and b are [L, ...]; returns h of the same shape. Log-doubling:
-    level s composes each position with the one s steps earlier, so after
-    ceil(log2 L) levels every position holds its full prefix. b must be
-    updated before a at each level (it needs the pre-update a).
-    """
-    L = a.shape[0]
-    dtype = a.dtype
-    s = 1
-    while s < L:
-        pad_a = Tensor(np.ones((s,) + a.shape[1:], dtype=dtype))
-        pad_b = Tensor(np.zeros((s,) + b.shape[1:], dtype=dtype))
-        a_prev = T.concat([pad_a, a[: L - s]], axis=0)
-        b_prev = T.concat([pad_b, b[: L - s]], axis=0)
-        b = T.add(T.mul(a, b_prev), b)
-        a = T.mul(a, a_prev)
-        s *= 2
-    return b
-
-
-def _discretize(u: Tensor, delta: Tensor, A: Tensor, B: Tensor):
-    """Shared front half of both scan engines.
-
-    Returns (dA, dBu) of shape [L, d_inner, d_state]:
-        dA  = exp(delta ⊗ A)
-        dBu = (delta * u) ⊗ B
-    """
-    L, d_inner = u.shape
-    d_state = A.shape[1]
-    dA = T.exp(T.mul(T.reshape(delta, L, d_inner, 1), T.reshape(A, 1, d_inner, d_state)))
-    dBu = T.mul(T.reshape(T.mul(delta, u), L, d_inner, 1), T.reshape(B, L, 1, d_state))
-    return dA, dBu
-
-
-def _emit(h: Tensor, u: Tensor, C: Tensor, D: Tensor) -> Tensor:
-    L, d_inner = u.shape
-    d_state = C.shape[1]
-    y = T.sum_(T.mul(h, T.reshape(C, L, 1, d_state)), axis=2)
-    return T.add(y, T.mul(u, D))
-
-
 def selective_scan_seq(u, delta, A, B, C, D) -> Tensor:
     """Step-by-step reference engine. Shapes: u, delta [L, d_inner];
     A [d_inner, d_state]; B, C [L, d_state]; D [d_inner]."""
     _check_finite("selective_scan_seq", u, delta, A, B, C, D)
     L, d_inner = u.shape
     d_state = A.shape[1]
-    dA, dBu = _discretize(u, delta, A, B)
+    dA = T.exp(T.mul(T.reshape(delta, L, d_inner, 1), T.reshape(A, 1, d_inner, d_state)))
+    dBu = T.mul(T.reshape(T.mul(delta, u), L, d_inner, 1), T.reshape(B, L, 1, d_state))
     h_t = Tensor(np.zeros((d_inner, d_state), dtype=u.dtype))
     rows = []
     for t in range(L):
         h_t = T.add(T.mul(dA[t], h_t), dBu[t])
         rows.append(T.reshape(h_t, 1, d_inner, d_state))
     h = T.concat(rows, axis=0)
-    return _emit(h, u, C, D)
+    y = T.sum_(T.mul(h, T.reshape(C, L, 1, d_state)), axis=2)
+    return T.add(y, T.mul(u, D))
 
 
 def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
-    """Parallel-scan engine; same contract and result as the sequential one
-    up to floating-point association order."""
-    _check_finite("selective_scan_par", u, delta, A, B, C, D)
-    dA, dBu = _discretize(u, delta, A, B)
-    h = _affine_scan(dA, dBu)
-    return _emit(h, u, C, D)
+    """Fused engine: one graph node with an analytic reverse-scan backward.
+    Same contract and result as the sequential one up to floating-point
+    summation order."""
+    inputs = (u, delta, A, B, C, D)
+    _check_finite("selective_scan_par", *inputs)
+    ud, dt, Bd, Cd, Dd = u.data, delta.data, B.data, C.data, D.data
+    # The state is held as [d_state, d_inner], so every per-step op runs
+    # along the long d_inner rows; numpy's broadcasting loops are much slower
+    # over the short d_state rows of the [d_inner, d_state] layout.
+    At = np.ascontiguousarray(A.data.T)
+    L = ud.shape[0]
+    du = dt * ud
+    h = np.zeros(At.shape, dtype=ud.dtype)
+    hs = np.empty((L,) + h.shape, dtype=h.dtype) if T.is_recording(inputs) else None
+    y = np.empty_like(ud)
+    for t in range(L):
+        h *= np.exp(dt[t] * At)
+        h += Bd[t, :, None] * du[t]
+        y[t] = Cd[t] @ h
+        if hs is not None:
+            hs[t] = h
+    y += ud * Dd
+
+    def grad_fn(g):
+        dA = np.exp(dt[:, None, :] * At)
+        dhs = np.empty_like(hs)
+        dh = np.zeros_like(h)
+        for t in range(L - 1, -1, -1):
+            dh += Cd[t, :, None] * g[t]
+            dhs[t] = dh
+            dh *= dA[t]  # carry to t-1
+        d_pre = dhs * dA  # gradient of delta_t * A, taken before the exp
+        d_pre[1:] *= hs[:-1]
+        d_pre[0] = 0.0  # h_{-1} = 0
+        d_du = np.einsum("lji,lj->li", dhs, Bd)
+        u._accumulate(g * Dd + d_du * dt)
+        delta._accumulate(np.einsum("lji,ji->li", d_pre, At) + d_du * ud)
+        A._accumulate(np.einsum("li,lji->ij", dt, d_pre))
+        B._accumulate(np.einsum("li,lji->lj", du, dhs))
+        C._accumulate(np.einsum("li,lji->lj", g, hs))
+        D._accumulate((g * ud).sum(axis=0))
+
+    return T._make(y, inputs, grad_fn, "selective_scan")
 
 
 _SCANS = {"seq": selective_scan_seq, "par": selective_scan_par}

@@ -188,12 +188,17 @@ def _coerce(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+def is_recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on `parents` records a graph node (and so needs its backward buffers)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
-    req = _grad_enabled and any(p.requires_grad for p in parents)
+    req = is_recording(parents)
     out.requires_grad = req
     if req:
         out._parents = tuple(parents)

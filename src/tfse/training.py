@@ -223,13 +223,14 @@ def load_checkpoint(ckpt_dir: str, dtype=np.float32):
 
 
 def latest_checkpoint(out_dir: str) -> str:
-    dirs = sorted(
+    """The ckpt-<epoch> directory with the highest epoch number."""
+    dirs = [
         d for d in os.listdir(out_dir)
-        if d.startswith("ckpt-") and os.path.isdir(os.path.join(out_dir, d))
-    )
+        if d.startswith("ckpt-") and d[5:].isdecimal() and os.path.isdir(os.path.join(out_dir, d))
+    ]
     if not dirs:
         raise DataError(f"no checkpoints under {out_dir}")
-    return os.path.join(out_dir, dirs[-1])
+    return os.path.join(out_dir, max(dirs, key=lambda d: int(d[5:])))
 
 
 # ---- the loop --------------------------------------------------------------

@@ -15,9 +15,8 @@ factor: the stabilized denominator floor is exp(-m_t), which is the naive
 floor 1 rescaled. A final floor at the dtype's smallest positive normal
 guards exp(-m_t) underflow; 0/0 cannot occur.
 
-The scan over time is sequential by construction (each step needs the
-previous stabilizer), which is the throughput contrast to the parallel
-selective scan.
+The scan over time is sequential by construction: each step needs the
+previous stabilizer.
 """
 
 from __future__ import annotations

@@ -89,6 +89,15 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             load_tensors(self._write(tmp_path, blob))
 
+    @pytest.mark.parametrize("blob", [
+        b"tensor-archive 1\ntensors two\npayload\n",
+        b"tensor-archive 1\ntensors 1\nx float32 1 zero 4\npayload\n\x00\x00\x00\x00",
+        b"tensor-archive 1\ntensors 1\nx float32 1 0 4.0\npayload\n\x00\x00\x00\x00",
+    ], ids=["count", "offset", "nbytes"])
+    def test_non_integer_header_field(self, tmp_path, blob):
+        with pytest.raises(FormatError, match="bad .* field"):
+            load_tensors(self._write(tmp_path, blob))
+
     def test_duplicate_name(self, tmp_path):
         blob = (
             b"tensor-archive 1\n"

@@ -221,6 +221,34 @@ class TestWavIo:
         with pytest.raises(FormatError):
             dsp.read_wav(path)
 
+    @staticmethod
+    def _raw_wav(tmp_path, fmt: bytes, data_size: int, data: bytes) -> str:
+        import struct
+
+        path = str(tmp_path / "raw.wav")
+        chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        chunks += b"data" + struct.pack("<I", data_size) + data
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+        return path
+
+    PCM16_FMT = bytes.fromhex("01000100803e0000007d00000200" "1000")  # mono 16 kHz 16-bit
+
+    def test_odd_length_pcm16_data_rejected(self, tmp_path):
+        path = self._raw_wav(tmp_path, self.PCM16_FMT, 21, b"\x00" * 21 + b"\x00")
+        with pytest.raises(FormatError, match="whole 16-bit samples"):
+            dsp.read_wav(path)
+
+    def test_data_chunk_shorter_than_declared_rejected(self, tmp_path):
+        path = self._raw_wav(tmp_path, self.PCM16_FMT, 4000, b"\x00" * 20)
+        with pytest.raises(FormatError, match="declares 4000 bytes"):
+            dsp.read_wav(path)
+
+    def test_short_fmt_chunk_rejected(self, tmp_path):
+        path = self._raw_wav(tmp_path, self.PCM16_FMT[:8], 20, b"\x00" * 20)
+        with pytest.raises(FormatError, match="fmt chunk"):
+            dsp.read_wav(path)
+
     def test_stdlib_wave_reads_our_pcm16(self, tmp_path, rng):
         import wave
 

@@ -15,7 +15,7 @@ from tfse.ssm import (
     selective_scan_par,
     selective_scan_seq,
 )
-from tfse.tensor import Tensor, grad_check_params, no_grad
+from tfse.tensor import CompGraph, Tensor, grad_check, grad_check_params, no_grad
 
 F64 = np.float64
 
@@ -99,6 +99,31 @@ class TestScanEquivalence:
             grads[name] = [a.grad.copy() for a in args]
         for gs, gp in zip(grads["seq"], grads["par"]):
             np.testing.assert_allclose(gs, gp, rtol=1e-9, atol=1e-11)
+
+
+    @pytest.mark.parametrize("which", range(6), ids=["u", "delta", "A", "B", "C", "D"])
+    def test_fused_gradients_match_finite_differences(self, rng, which):
+        args = random_scan_inputs(rng, 40)
+        w = Tensor(rng.normal(size=(40, 6)))
+        args[which].requires_grad = True
+        # grad_check perturbs args[which] in place, so f reads it from args
+        assert grad_check(lambda _x: T.sum_(T.mul(selective_scan_par(*args), w)), args[which]) < 1e-7
+
+    def test_fused_scan_is_one_graph_node(self, rng):
+        args = random_scan_inputs(rng, 9)
+        for a in args:
+            a.requires_grad = True
+        y = selective_scan_par(*args)
+        assert y._parents == tuple(args)
+        assert [n for n in CompGraph(y).order if n.op != "leaf"] == [y]
+
+    def test_fused_scan_under_no_grad_has_no_parents(self, rng):
+        args = random_scan_inputs(rng, 9)
+        for a in args:
+            a.requires_grad = True
+        with no_grad():
+            y = selective_scan_par(*args)
+        assert y._parents == () and y._grad_fn is None and not y.requires_grad
 
 
 class TestScanStability:

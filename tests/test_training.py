@@ -18,6 +18,7 @@ from tfse.training import (
     epoch_batches,
     load_checkpoint,
     load_corpus,
+    latest_checkpoint,
     lr_at,
     make_example,
     mask_mse,
@@ -278,3 +279,8 @@ class TestCheckpointState:
         a = rng.integers(0, 1 << 30)
         _, _, _, rng2, _, _ = load_checkpoint(result.checkpoint_dir)
         assert a == rng2.integers(0, 1 << 30)
+
+    def test_latest_checkpoint_orders_epochs_numerically(self, tmp_path):
+        for name in ("ckpt-9999", "ckpt-10000"):
+            os.mkdir(tmp_path / name)
+        assert latest_checkpoint(str(tmp_path)) == str(tmp_path / "ckpt-10000")
