@@ -15,6 +15,7 @@ bit-exact for float32 and float64.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Mapping
 
@@ -36,16 +37,22 @@ def _parse_shape(s: str) -> tuple[int, ...]:
     if s == "scalar":
         return ()
     try:
-        return tuple(int(p) for p in s.split("x"))
+        shape = tuple(int(p) for p in s.split("x"))
     except ValueError:
         raise FormatError(f"bad shape field {s!r}") from None
+    if min(shape) < 0:
+        raise FormatError(f"bad shape field {s!r}")
+    return shape
 
 
 def _parse_int(s: str, what: str, path: str) -> int:
     try:
-        return int(s)
+        value = int(s)
     except ValueError:
         raise FormatError(f"{path}: bad {what} field {s!r}") from None
+    if value < 0:
+        raise FormatError(f"{path}: bad {what} field {s!r}")
+    return value
 
 
 def save_tensors(path: str, tensors: Mapping[str, "np.ndarray | Tensor"]) -> None:
@@ -80,7 +87,10 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             raw = fh.readline()
             if not raw:
                 raise FormatError(f"{path}: truncated archive header")
-            return raw.decode("utf-8").rstrip("\n")
+            try:
+                return raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: archive header is not UTF-8") from None
 
         if line() != MAGIC:
             raise FormatError(f"{path}: not a tensor archive")
@@ -88,7 +98,7 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         if len(head) != 2 or head[0] != "tensors":
             raise FormatError(f"{path}: bad tensor count line")
         count = _parse_int(head[1], "tensor count", path)
-        entries = []
+        entries: dict[str, tuple[str, tuple[int, ...], int, int]] = {}
         for _ in range(count):
             parts = line().split()
             if len(parts) != 5:
@@ -96,18 +106,20 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             name, dtype, shape_s, off_s, nbytes_s = parts
             if dtype not in _DTYPES:
                 raise FormatError(f"{path}: unsupported dtype {dtype}")
+            if name in entries:
+                raise FormatError(f"{path}: tensor {name!r} listed twice")
+            shape = _parse_shape(shape_s)
             off, nbytes = _parse_int(off_s, "offset", path), _parse_int(nbytes_s, "nbytes", path)
-            entries.append((name, dtype, _parse_shape(shape_s), off, nbytes))
+            if nbytes != math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize:
+                raise FormatError(f"{path}: {nbytes} bytes do not hold a {dtype} tensor of shape {shape_s}")
+            entries[name] = (dtype, shape, off, nbytes)
         if line() != "payload":
             raise FormatError(f"{path}: missing payload marker")
         blob = fh.read()
     out: dict[str, np.ndarray] = {}
-    for name, dtype, shape, off, nbytes in entries:
+    for name, (dtype, shape, off, nbytes) in entries.items():
         if off + nbytes > len(blob):
             raise FormatError(f"{path}: payload shorter than manifest entry {name!r}")
         arr = np.frombuffer(blob[off:off + nbytes], dtype=_DTYPES[dtype])
-        expect = int(np.prod(shape)) if shape else 1
-        if arr.size != expect:
-            raise FormatError(f"{path}: size mismatch for {name!r}")
         out[name] = arr.reshape(shape).astype(dtype, copy=True)
     return out

@@ -69,6 +69,28 @@ def _check_scan_equivalence() -> tuple[bool, str]:
     return worst < 1e-10, f"fused vs sequential rel diff {worst:.3e} (tol 1e-10)"
 
 
+def _check_chunked_mlstm() -> tuple[bool, str]:
+    from .tensor import no_grad
+    from .xlstm import CHUNK, MLSTMState, mlstm_cell_step, mlstm_scan
+
+    rng = np.random.default_rng(3)
+    H, dh, L = 2, 4, 2 * CHUNK + 7  # crosses two chunk boundaries
+    q, k, v = (rng.normal(size=(H, L, dh)) for _ in range(3))
+    ig, fg = (rng.uniform(-5, 5, size=(H, L)) for _ in range(2))
+    with no_grad():
+        got = mlstm_scan(Tensor(q), Tensor(k), Tensor(v), Tensor(ig), Tensor(fg)).data
+        state = MLSTMState.zeros(H, dh, np.float64)
+        want = np.empty_like(got)
+        for t in range(L):
+            state, h = mlstm_cell_step(
+                state, Tensor(q[:, t, :, None]), Tensor(k[:, t, :, None]), Tensor(v[:, t, :, None]),
+                Tensor(ig[:, t, None, None]), Tensor(fg[:, t, None, None]),
+            )
+            want[:, t] = h.data[:, :, 0]
+    rel = float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-12))
+    return rel < 1e-10, f"chunked scan vs cell chain over {L} frames rel diff {rel:.3e} (tol 1e-10)"
+
+
 def _check_recurrence_stabilizer() -> tuple[bool, str]:
     from . import tensor as T
     from .tensor import no_grad
@@ -200,6 +222,7 @@ def _check_negative_control() -> tuple[bool, str]:
 _CHECKS = [
     ("gradients-match-finite-differences", _check_gradients),
     ("parallel-scan-matches-sequential", _check_scan_equivalence),
+    ("chunked-mlstm-matches-cell", _check_chunked_mlstm),
     ("stabilized-recurrence-matches-reference", _check_recurrence_stabilizer),
     ("analysis-synthesis-roundtrip", _check_analysis_roundtrip),
     ("ideal-mask-recovers-clean", _check_ideal_mask),

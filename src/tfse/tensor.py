@@ -383,15 +383,16 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out, (a,), grad_fn, "tanh")
 
 
-def _sigmoid_nd(x: np.ndarray) -> np.ndarray:
-    # Two-branch form: never exponentiates a positive number.
-    out = np.empty_like(x)
-    pos = x >= 0
-    np.exp(-x, where=pos, out=out)
-    out[pos] = 1.0 / (1.0 + out[pos])
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid_nd(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # Two-branch form: never exponentiates a positive number. With
+    # e = exp(-|x|) (passed in by callers that already have it) it is
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, computed in whole-array
+    # passes (boolean-mask indexing is several times slower on
+    # activation-sized arrays).
+    if e is None:
+        e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    return np.divide(out, 1.0 + e, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -424,8 +425,9 @@ def silu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-    out = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-    s = _sigmoid_nd(x)
+    e = np.exp(-np.abs(x))
+    out = np.log1p(e) + np.maximum(x, 0.0)
+    s = _sigmoid_nd(x, e)
 
     def grad_fn(g):
         a._accumulate(g * s)

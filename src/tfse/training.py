@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,22 +187,29 @@ def save_checkpoint(
     epochs_done: int,
     global_step: int,
 ) -> None:
-    os.makedirs(ckpt_dir, exist_ok=True)
-    save_model(ckpt_dir, model, run_cfg)
+    """Write the checkpoint into ckpt_dir + ".tmp" and rename it into place,
+    so ckpt_dir is complete whenever it exists; latest_checkpoint skips the
+    ".tmp" name that a save cut short leaves behind."""
+    tmp = ckpt_dir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    save_model(tmp, model, run_cfg)
     moments = {}
     for name, arr in opt.m.items():
         moments[f"m.{name}"] = arr
     for name, arr in opt.v.items():
         moments[f"v.{name}"] = arr
-    save_tensors(os.path.join(ckpt_dir, OPTIM_ARCHIVE), moments)
+    save_tensors(os.path.join(tmp, OPTIM_ARCHIVE), moments)
     state = {
         "epochs_done": epochs_done,
         "global_step": global_step,
         "adam_t": opt.t,
         "rng": rng.bit_generator.state,
     }
-    with open(os.path.join(ckpt_dir, STATE_FILE), "w", encoding="utf-8") as fh:
+    with open(os.path.join(tmp, STATE_FILE), "w", encoding="utf-8") as fh:
         json.dump(state, fh, default=int, indent=1)
+    if os.path.isdir(ckpt_dir):  # a rerun into the same output directory
+        shutil.rmtree(ckpt_dir)
+    os.replace(tmp, ckpt_dir)
 
 
 def load_checkpoint(ckpt_dir: str, dtype=np.float32):

@@ -15,8 +15,21 @@ factor: the stabilized denominator floor is exp(-m_t), which is the naive
 floor 1 rescaled. A final floor at the dtype's smallest positive normal
 guards exp(-m_t) underflow; 0/0 cannot occur.
 
-The scan over time is sequential by construction: each step needs the
-previous stabilizer.
+mlstm_cell_step is one step of that recurrence built from graph primitives
+and is the reference. mlstm_scan is the engine the models use: one graph
+node that runs the recurrence chunkwise-parallel (the parallel mLSTM form of
+Beck et al., xLSTM, arXiv 2405.04517, in the chunked layout of TFLA, arXiv
+2503.14376). Frames are cut into fixed chunks of CHUNK frames from t = 0.
+Within a chunk, with b the cumulative sum of the forget pre-activations and
+(C, n, m) the state carried in from the previous chunk, h_t reads the
+log-weights b_t - b_j + i_j of frames j <= t and b_t + m of the carried
+state; their max is the cell's m_t, so the readout is three matrix products
+(Q K^T * W) V, Q C^T and Q n, each stabilized by the same exp(-m_t). The
+state at the chunk's end is carried on. The backward runs over the chunks
+in reverse, carrying dC and dn and recomputing each chunk's weights from its
+stored starting state; m is a constant there, since h does not depend on it.
+Causal prefixes are bit-exact: the chunk grid is fixed, and frames after t
+enter h_t only through weights that are exactly zero.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from .tensor import Tensor
 
 QKV_BLOCK_SIZE = 4
 CONV_WIDTH = 4
+CHUNK = 64  # frames per chunk of mlstm_scan; the grid starts at t = 0
 
 
 @dataclass
@@ -76,14 +90,117 @@ def mlstm_cell_step(
     return MLSTMState(C=C, n=n, m=m_new), h
 
 
+def _chunk_weights(i_raw, f_raw, m_prev):
+    """Stabilized weights of one chunk. i_raw, f_raw [H, K]; m_prev [H].
+
+    Returns W [H, K, K] (W[t, j] = exp(b_t - b_j + i_j - m_t) for j <= t,
+    else 0), a [H, K] (the carried state's weight exp(b_t + m_prev - m_t))
+    and m [H, K], the cell's stabilizer at each frame.
+    """
+    K = i_raw.shape[-1]
+    b = np.cumsum(f_raw, axis=-1)
+    log_w = b[:, :, None] - b[:, None, :] + i_raw[:, None, :]
+    log_w += np.triu(np.full((K, K), -np.inf, dtype=i_raw.dtype), 1)
+    carry = b + m_prev[:, None]
+    m = np.maximum(carry, log_w.max(axis=-1))
+    return np.exp(log_w - m[:, :, None]), np.exp(carry - m), m
+
+
+def _chunk_readout(q, k, W, a, m, C, n):
+    """Readout terms of one chunk entered with state (C, n): the scores
+    S = q k^T and P = S * W, the carried-state readouts q C^T and q . n,
+    the normalizer n_t . q_t and the denominator max(|n_t . q_t|, floor)."""
+    S = q @ k.swapaxes(-1, -2)
+    P = S * W
+    qC = q @ C.swapaxes(-1, -2)
+    qn = (q @ n[:, :, None])[:, :, 0]
+    dot = P.sum(axis=-1) + a * qn
+    with np.errstate(over="ignore"):  # exp(-m) may overflow to inf; then h -> 0, its limit
+        floor = np.maximum(np.exp(-m), np.finfo(q.dtype).tiny)
+    return S, P, qC, qn, dot, np.maximum(np.abs(dot), floor)
+
+
+def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) -> Tensor:
+    """The mlstm_cell_step chain from a zero state as one graph node.
+
+    q, k, v are [H, L, dh] and the gates [H, L]; returns h [H, L, dh]. Same
+    result as the cell chain up to floating-point summation order.
+    """
+    inputs = (q, k, v, i_raw, f_raw)
+    qd, kd, vd, ig, fg = (np.ascontiguousarray(x.data) for x in inputs)
+    H, L, dh = qd.shape
+    chunks = [slice(s, min(s + CHUNK, L)) for s in range(0, L, CHUNK)]
+    starts = [] if T.is_recording(inputs) else None  # (C, n, m) entering each chunk
+    C = np.zeros((H, dh, dh), dtype=qd.dtype)
+    n = np.zeros((H, dh), dtype=qd.dtype)
+    m = np.zeros(H, dtype=qd.dtype)
+    h = np.empty_like(vd)
+    for sl in chunks:
+        if starts is not None:
+            starts.append((C, n, m))
+        qc, kc, vc = qd[:, sl], kd[:, sl], vd[:, sl]
+        W, a, mc = _chunk_weights(ig[:, sl], fg[:, sl], m)
+        _, P, qC, _, _, denom = _chunk_readout(qc, kc, W, a, mc, C, n)
+        h[:, sl] = (P @ vc + a[:, :, None] * qC) / denom[:, :, None]
+        w, a_end = W[:, -1], a[:, -1]
+        C = a_end[:, None, None] * C + (vc * w[:, :, None]).swapaxes(-1, -2) @ kc
+        n = a_end[:, None] * n + (w[:, None, :] @ kc)[:, 0]
+        m = mc[:, -1]
+
+    def grad_fn(g):
+        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+        di, df = np.empty_like(ig), np.empty_like(fg)
+        dC = np.zeros((H, dh, dh), dtype=qd.dtype)
+        dn = np.zeros((H, dh), dtype=qd.dtype)
+        for sl, (C0, n0, m0) in zip(reversed(chunks), reversed(starts)):
+            qc, kc, vc, gc = qd[:, sl], kd[:, sl], vd[:, sl], g[:, sl]
+            W, a, mc = _chunk_weights(ig[:, sl], fg[:, sl], m0)
+            S, P, qC, qn, dot, denom = _chunk_readout(qc, kc, W, a, mc, C0, n0)
+            d_num = gc / denom[:, :, None]
+            # h = num / max(|dot|, floor); the floor is inactive where denom == |dot|,
+            # and ties go to |dot| as in T.maximum
+            d_dot = np.where(
+                np.abs(dot) == denom, -np.sign(dot) * (gc * h[:, sl]).sum(axis=-1) / denom, 0.0
+            )
+            w, a_end = W[:, -1], a[:, -1]
+            # the carried-state weights a, through the readout and the end state
+            da = (d_num * qC).sum(axis=-1) + d_dot * qn
+            da[:, -1] += (dC * C0).sum(axis=(-2, -1)) + (dn * n0).sum(axis=-1)
+            # the in-chunk weights W: the readout's scores, and row K-1 again for the end state
+            dP = d_num @ vc.swapaxes(-1, -2) + d_dot[:, :, None]
+            dW = dP * S
+            dW[:, -1] += ((vc @ dC) * kc).sum(axis=-1) + (kc @ dn[:, :, None])[:, :, 0]
+            dS = dP * W
+            ad_num = a[:, :, None] * d_num
+            ad_dot = a * d_dot
+            dq[:, sl] = dS @ kc + ad_num @ C0 + ad_dot[:, :, None] * n0[:, None, :]
+            dk[:, sl] = dS.swapaxes(-1, -2) @ qc + w[:, :, None] * (vc @ dC + dn[:, None, :])
+            dv[:, sl] = P.swapaxes(-1, -2) @ d_num + w[:, :, None] * (kc @ dC.swapaxes(-1, -2))
+            # log-weights: W[t, j] = exp(b_t - b_j + i_j - m_t), a_t = exp(b_t + m0 - m_t)
+            d_log = dW * W
+            di[:, sl] = d_log.sum(axis=-2)
+            db = d_log.sum(axis=-1) - di[:, sl] + da * a
+            df[:, sl] = np.cumsum(db[:, ::-1], axis=-1)[:, ::-1]
+            dC = a_end[:, None, None] * dC + ad_num.swapaxes(-1, -2) @ qc
+            dn = a_end[:, None] * dn + (ad_dot[:, None, :] @ qc)[:, 0]
+        for x, dx in zip(inputs, (dq, dk, dv, di, df)):
+            x._accumulate(dx)
+
+    return T._make(h, inputs, grad_fn, "mlstm_scan")
+
+
 class MLSTMCore(Module):
     """Pre-normed mLSTM mixer (no outer residual).
 
     Pipeline: norm -> up-projection split into (cell branch, gate branch) ->
     causal depthwise conv + SiLU -> block-diagonal q/k/v (k pre-scaled by
-    d_head^-1/2) and dense input/forget gate heads -> sequential stabilized
-    scan -> per-head norm (gain only) -> learnable skip from the conv branch
-    -> SiLU(gate branch) -> down-projection.
+    d_head^-1/2) and dense input/forget gate heads -> chunkwise stabilized
+    scan (mlstm_scan) -> group norm (gain only) -> learnable skip from the
+    conv branch -> SiLU(gate branch) -> down-projection.
+
+    The scan's output is laid out d-major (feature d * heads + head), and
+    the norm takes groups of d_head consecutive features, so each group
+    holds d_head / heads features of every head, not one head's features.
     """
 
     def __init__(self, d_model: int, rng, dtype, heads: int = 4, proj_factor: float = 2.0):
@@ -106,7 +223,7 @@ class MLSTMCore(Module):
         self.down_proj = Linear(d_inner, d_model, rng, dtype, bias=False)
 
     def _head_norm(self, h: Tensor, L: int) -> Tensor:
-        # zero-mean unit-variance per head, then a per-feature gain
+        # zero-mean unit-variance per group of d_head consecutive features, then a per-feature gain
         hh = T.reshape(h, L, self.heads, self.d_head)
         mu = T.mean(hh, axis=-1, keepdims=True)
         hc = T.sub(hh, mu)
@@ -125,19 +242,8 @@ class MLSTMCore(Module):
         v = T.transpose(T.reshape(self.v_proj(xc), L, H, dh), (1, 0, 2))
         ig = T.transpose(self.i_gate(xc), (1, 0))  # [H, L]
         fg = T.transpose(self.f_gate(xc), (1, 0))
-        state = MLSTMState.zeros(H, dh, x.dtype)
-        rows = []
-        for t in range(L):
-            state, h_t = mlstm_cell_step(
-                state,
-                T.reshape(q[:, t], H, dh, 1),
-                T.reshape(k[:, t], H, dh, 1),
-                T.reshape(v[:, t], H, dh, 1),
-                T.reshape(ig[:, t], H, 1, 1),
-                T.reshape(fg[:, t], H, 1, 1),
-            )
-            rows.append(T.reshape(T.transpose(h_t, (1, 0, 2)), 1, di))
-        h = T.concat(rows, axis=0)  # [L, d_inner]
+        # [H, L, dh] -> [L, d_inner] with features in d-major order (index d * H + head)
+        h = T.reshape(T.transpose(mlstm_scan(q, k, v, ig, fg), (1, 2, 0)), L, di)
         if not np.all(np.isfinite(h.data)):
             raise NumericError("mlstm scan produced non-finite state")
         h = self._head_norm(h, L)

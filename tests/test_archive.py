@@ -4,9 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfse.archive import load_tensors, save_tensors
-from tfse.errors import FormatError
+from tfse.errors import FormatError, TfseError
 
 
 @pytest.fixture
@@ -101,14 +103,61 @@ class TestFormatErrors:
     def test_duplicate_name(self, tmp_path):
         blob = (
             b"tensor-archive 1\n"
+            b"tensors 2\n"
             b"x float32 1 0 4\n"
             b"x float32 1 4 4\n"
             b"payload\n" + b"\x00" * 8
         )
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="listed twice"):
+            load_tensors(self._write(tmp_path, blob))
+
+    @pytest.mark.parametrize("entry", [
+        b"x float32 1 0 6",  # not a whole number of float32 items
+        b"x float64 2 0 8",  # whole items, but not as many as the shape holds
+    ], ids=["partial-item", "wrong-count"])
+    def test_nbytes_must_match_dtype_and_shape(self, tmp_path, entry):
+        blob = b"tensor-archive 1\ntensors 1\n" + entry + b"\npayload\n" + b"\x00" * 16
+        with pytest.raises(FormatError, match="do not hold"):
+            load_tensors(self._write(tmp_path, blob))
+
+    @pytest.mark.parametrize("entry", [b"x float32 -1 0 4", b"x float32 1 -4 4"], ids=["shape", "offset"])
+    def test_negative_header_field(self, tmp_path, entry):
+        blob = b"tensor-archive 1\ntensors 1\n" + entry + b"\npayload\n" + b"\x00" * 8
+        with pytest.raises(FormatError, match="bad .* field"):
             load_tensors(self._write(tmp_path, blob))
 
     def test_empty_dict_round_trips(self, tmp_path):
         path = str(tmp_path / "e.tensors")
         save_tensors(path, {})
         assert load_tensors(path) == {}
+
+
+class TestFuzz:
+    """Whatever the bytes, load_tensors returns or raises a TfseError."""
+
+    VALID = (
+        b"tensor-archive 1\ntensors 2\n"
+        b"w float32 2x3 0 24\nb float64 scalar 24 8\npayload\n" + bytes(range(32))
+    )
+
+    def _load(self, tmp_path, blob: bytes) -> None:
+        path = str(tmp_path / "fuzz.tensors")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_tensors(path)
+        except TfseError:
+            pass
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=200))
+    def test_random_bytes(self, tmp_path, blob):
+        self._load(tmp_path, blob)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, len(VALID)), st.integers(0, len(VALID) - 1), st.integers(0, 255))
+    def test_truncated_and_corrupted_archive(self, tmp_path, cut, pos, byte):
+        blob = bytearray(self.VALID)
+        blob[pos] = byte
+        self._load(tmp_path, bytes(blob[:cut]))
+        self._load(tmp_path, self.VALID[:cut])

@@ -305,6 +305,21 @@ class TestForwardSemantics:
         with pytest.raises(Exception):
             T.activation(x, "no-such-activation")
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_sigmoid_is_the_two_branch_form_bit_for_bit(self, rng, dtype):
+        x = (rng.normal(size=200) * 30).astype(dtype)
+        x[:6] = [0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf]
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        got = T.sigmoid(Tensor(x)).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        xs = Tensor(x[6:], requires_grad=True)
+        backward(T.sum_(T.softplus(xs)))
+        np.testing.assert_array_equal(xs.grad, want[6:])
+
 
 class TestPropertyBased:
     @given(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tfse import tensor as T
+from tfse import training
 from tfse.config import RunConfig
 from tfse.errors import ConfigError, DataError, TrainingAborted
 from tfse.tensor import Tensor, backward
@@ -284,3 +285,28 @@ class TestCheckpointState:
         for name in ("ckpt-9999", "ckpt-10000"):
             os.mkdir(tmp_path / name)
         assert latest_checkpoint(str(tmp_path)) == str(tmp_path / "ckpt-10000")
+
+    def test_resume_skips_a_checkpoint_cut_short(self, corpus_manifest, tmp_path, monkeypatch):
+        from tfse.archive import load_tensors
+
+        cfg = toy_config(corpus_manifest, epochs=2, checkpoint_every=1)
+        out = str(tmp_path / "run")
+        save_tensors = training.save_tensors
+
+        def fail_at_epoch_2(path, tensors):
+            if "ckpt-0002" in path:
+                raise OSError("disk full")
+            save_tensors(path, tensors)
+
+        monkeypatch.setattr(training, "save_tensors", fail_at_epoch_2)
+        with pytest.raises(OSError, match="disk full"):
+            train(cfg, out)
+        monkeypatch.undo()
+        assert "ckpt-0002.tmp" in os.listdir(out) and "ckpt-0002" not in os.listdir(out)
+        assert latest_checkpoint(out) == os.path.join(out, "ckpt-0001")
+        resumed = train(cfg, out, resume_from=latest_checkpoint(out))
+        straight = train(cfg, str(tmp_path / "straight"))
+        assert os.listdir(out).count("ckpt-0002") == 1 and "ckpt-0002.tmp" not in os.listdir(out)
+        a = load_tensors(os.path.join(resumed.checkpoint_dir, "model.tensors"))
+        b = load_tensors(os.path.join(straight.checkpoint_dir, "model.tensors"))
+        assert all(np.array_equal(a[k], b[k]) for k in b)

@@ -1,20 +1,23 @@
 """Matrix-memory recurrent tests: the stabilized exponential-gating cell is
 checked against a direct unstabilized recurrence, fuzzed at extreme gate
-values, and the bidirectional compositions are verified definitionally."""
+values, the chunkwise scan is checked against the cell chain (values and
+gradients), and the bidirectional compositions are verified definitionally."""
 
 import numpy as np
 import pytest
 
 from tfse import tensor as T
 from tfse.xlstm import (
+    CHUNK,
     CBiXLSTMBlock,
     MLSTMBlock,
     MLSTMCore,
     MLSTMState,
     PBiXLSTMBlock,
     mlstm_cell_step,
+    mlstm_scan,
 )
-from tfse.tensor import Tensor, grad_check_params, no_grad
+from tfse.tensor import Tensor, grad_check, grad_check_params, no_grad
 
 F64 = np.float64
 
@@ -109,6 +112,93 @@ class TestCellStep:
                 )
         direction = h.data[0, :, 0] / np.linalg.norm(h.data[0, :, 0])
         np.testing.assert_allclose(direction, [0.0, 1.0], atol=1e-9)
+
+
+def scan_inputs(rng, L, gate_lo=-5, gate_hi=5, H=2, dh=4, dtype=F64):
+    """q, k, v [H, L, dh] and the two gates [H, L], all requiring grad."""
+    qkv = [rng.normal(size=(H, L, dh)) for _ in range(3)]
+    gates = [rng.uniform(gate_lo, gate_hi, size=(H, L)) for _ in range(2)]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in qkv + gates]
+
+
+def cell_scan(q, k, v, i_raw, f_raw):
+    """mlstm_cell_step chained over time from a zero state; h [H, L, dh]."""
+    H, L, dh = q.shape
+    state = MLSTMState.zeros(H, dh, q.dtype)
+    rows = []
+    for t in range(L):
+        state, h = mlstm_cell_step(
+            state,
+            T.reshape(q[:, t], H, dh, 1),
+            T.reshape(k[:, t], H, dh, 1),
+            T.reshape(v[:, t], H, dh, 1),
+            T.reshape(i_raw[:, t], H, 1, 1),
+            T.reshape(f_raw[:, t], H, 1, 1),
+        )
+        rows.append(T.reshape(h, H, 1, dh))
+    return T.concat(rows, axis=1)
+
+
+class TestChunkedScan:
+    @pytest.mark.parametrize("L", [1, CHUNK - 1, CHUNK, CHUNK + 1, 200])
+    def test_matches_cell_chain(self, rng, L):
+        args = scan_inputs(rng, L)
+        with no_grad():
+            got = mlstm_scan(*args).data
+            want = cell_scan(*args).data
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype,gate", [(np.float32, 100.0), (F64, 1000.0)])
+    def test_extreme_gates_stay_finite(self, rng, dtype, gate):
+        args = scan_inputs(rng, 2 * CHUNK + 5, -gate, gate, dtype=dtype)
+        with no_grad():
+            h = mlstm_scan(*args).data
+        assert h.dtype == dtype and np.all(np.isfinite(h))
+
+    @pytest.mark.parametrize("which", range(5))
+    def test_gradients_match_finite_differences(self, rng, which):
+        args = scan_inputs(rng, 2 * CHUNK + 5, -2, 2, dh=2)
+        w = Tensor(rng.normal(size=args[0].shape))
+        # grad_check perturbs args[which] in place, so f reads it from args
+        assert grad_check(lambda _x: T.sum_(T.mul(mlstm_scan(*args), w)), args[which]) < 1e-7
+
+    def test_gradients_match_cell_chain(self, rng):
+        args = scan_inputs(rng, 2 * CHUNK + 5)
+        w = Tensor(rng.normal(size=args[0].shape))
+        grads = []
+        for scan in (mlstm_scan, cell_scan):
+            for a in args:
+                a.zero_grad()
+            T.backward(T.sum_(T.mul(scan(*args), w)))
+            grads.append([a.grad.copy() for a in args])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    def test_is_one_graph_node(self, rng):
+        args = scan_inputs(rng, CHUNK + 3)
+        h = mlstm_scan(*args)
+        assert h.op == "mlstm_scan" and h._parents == tuple(args)
+
+    def test_under_no_grad_has_no_parents(self, rng):
+        args = scan_inputs(rng, CHUNK + 3)
+        with no_grad():
+            h = mlstm_scan(*args)
+        assert h._parents == () and h._grad_fn is None and not h.requires_grad
+
+    @pytest.mark.parametrize("cut", [2 * CHUNK, 2 * CHUNK + 12], ids=["later-chunk", "same-chunk"])
+    def test_causal_prefix_is_bit_exact(self, rng, cut):
+        # L = 150 has chunks [0, 64), [64, 128), [128, 150): changing the frames
+        # from 128 on touches only a later chunk than the prefix, changing
+        # those from 140 on also touches the chunk the prefix ends in
+        args = [a.data for a in scan_inputs(rng, 150)]
+        changed = [a.copy() for a in args]
+        for a in changed:
+            a[:, cut:] += rng.normal(size=a[:, cut:].shape)
+        with no_grad():
+            h1 = mlstm_scan(*map(Tensor, args)).data
+            h2 = mlstm_scan(*map(Tensor, changed)).data
+        np.testing.assert_array_equal(h1[:, :cut], h2[:, :cut])
+        assert np.abs(h1[:, cut:] - h2[:, cut:]).max() > 0.0
 
 
 class TestMLSTMCore:
