@@ -44,15 +44,16 @@ class MultiHeadSelfAttention(Module):
         self.wv = Linear(d_model, d_model, rng, dtype)
         self.wo = Linear(d_model, d_model, rng, dtype)
 
-    def _split(self, x: Tensor, L: int) -> Tensor:
-        x = T.reshape(x, L, self.heads, self.d_head)
-        return T.transpose(x, (1, 0, 2))  # [H, L, d_head]
+    def _split(self, x: Tensor) -> Tensor:
+        x = T.reshape(x, *x.shape[:-1], self.heads, self.d_head)
+        return T.swapaxes(x, -3, -2)  # [..., H, L, d_head]
 
     def __call__(self, x: Tensor, causal: bool, rope: bool = False) -> Tensor:
-        L, d = x.shape
-        q = self._split(self.wq(x), L)
-        k = self._split(self.wk(x), L)
-        v = self._split(self.wv(x), L)
+        """x [..., L, d_model] (leading axes are batch axes)."""
+        L = x.shape[-2]
+        q = self._split(self.wq(x))
+        k = self._split(self.wk(x))
+        v = self._split(self.wv(x))
         if rope:
             cos_t, sin_t = PE.rotary_tables(L, self.d_head, x.dtype)
             cos, sin = Tensor(cos_t), Tensor(sin_t)
@@ -62,8 +63,8 @@ class MultiHeadSelfAttention(Module):
         if causal:
             scores = T.add(scores, causal_mask(L, x.dtype))
         attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, v)  # [H, L, d_head]
-        ctx = T.reshape(T.transpose(ctx, (1, 0, 2)), L, d)
+        ctx = T.matmul(attn, v)  # [..., H, L, d_head]
+        ctx = T.reshape(T.swapaxes(ctx, -3, -2), x.shape)
         return self.wo(ctx)
 
 
@@ -104,9 +105,9 @@ class ConformerBlock(Module):
 
     def _conv_module(self, x: Tensor, causal: bool) -> Tensor:
         d = self.d_model
-        h = self.conv_in(self.conv_norm(x))  # [L, 2d]
-        a = h[:, :d]
-        b = h[:, d:]
+        h = self.conv_in(self.conv_norm(x))  # [..., L, 2d]
+        a = h[..., :d]
+        b = h[..., d:]
         h = T.mul(a, T.sigmoid(b))  # GLU
         h = self.conv_dw(h, causal=causal)
         h = T.silu(self.conv_mid_norm(h))

@@ -8,11 +8,12 @@ an echoed file reproduces the run exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 BACKBONES = ("transformer", "conformer", "mamba", "bimamba", "xlstm", "c-bixlstm", "p-bixlstm")
 ATTENTION_BACKBONES = ("transformer", "conformer")
@@ -64,6 +65,8 @@ class ModelConfig:
         for key in ("d_model", "d_ff", "d_state", "expand", "d_conv", "conv_kernel"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.proj_factor) and self.proj_factor > 0):
+            raise ConfigError(f"proj_factor: must be a finite number > 0, got {self.proj_factor}")
         heads = self.resolved_heads()
         if heads < 1:
             raise ConfigError(f"heads: must be >= 1, got {heads}")
@@ -205,6 +208,8 @@ def read_config(path: str) -> RunConfig:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: config is not UTF-8 text ({e})") from None
     return parse_config_text(text, source=path)
 
 

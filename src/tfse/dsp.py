@@ -9,6 +9,7 @@ Spectrograms are one-sided (257 bins) complex128 arrays of shape
 
 from __future__ import annotations
 
+import os
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -105,6 +106,7 @@ def read_wav(path: str) -> Waveform:
         SampleRateError: file is not at 16 kHz (no implicit resampling).
     """
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         riff = fh.read(12)
         if len(riff) != 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
             raise FormatError(f"{path}: not a RIFF/WAVE file")
@@ -115,7 +117,7 @@ def read_wav(path: str) -> Waveform:
             if len(head) < 8:
                 break
             cid, size = head[:4], struct.unpack("<I", head[4:])[0]
-            body = fh.read(size)
+            body = fh.read(min(size, file_size - fh.tell()))  # a bogus size allocates nothing
             if cid in (b"fmt ", b"data") and len(body) < size:
                 name = cid.decode().strip()
                 raise FormatError(f"{path}: {name} chunk declares {size} bytes, file holds {len(body)}")

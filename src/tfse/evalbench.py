@@ -18,15 +18,16 @@ optimizer steps on pre-generated synthetic batches.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsp
-from .config import RunConfig
-from .errors import DataError, LengthError, SampleRateError
+from . import dsp, training
+from .config import N_BINS, RunConfig
+from .errors import DataError, FormatError, LengthError, SampleRateError
 from .model import EnhancementModel, build_model, count_params, enhance, load_model
 from .tensor import Tensor, no_grad
 
@@ -225,21 +226,17 @@ def measure_train_step(
     seed: int = 0,
     dtype=np.float32,
 ) -> float:
-    """Mean seconds per optimizer step (forward + backward + clip + Adam).
+    """Mean seconds per optimizer step (forward + backward + clip + Adam),
+    timed through training.train_step, the step `train` runs.
 
     Batches are synthesized up front so data preparation is excluded from
     the timing.
     """
-    from . import training  # local import; training pulls in no heavy deps
-
     model_cfg = run_cfg.model_config()
     train_cfg = run_cfg.train_config()
     model = build_model(model_cfg, seed=train_cfg.seed, dtype=dtype)
-    named = list(model.named_parameters())
     opt = training.AdamState()
     rng = np.random.default_rng(seed)
-    from .config import N_BINS
-
     batches = []
     for _ in range(min(steps + warmup, 8)):  # cycle a few distinct batches
         batch = [
@@ -251,21 +248,9 @@ def measure_train_step(
         ]
         batches.append(batch)
 
-    from . import tensor as T
-    from .tensor import backward
-
     def step(k: int) -> None:
-        batch = batches[k % len(batches)]
-        model.zero_grad()
-        total = None
-        for mag, target in batch:
-            pred = model(Tensor(mag))
-            l = training.clip_loss(pred, target, mag, train_cfg.loss)
-            total = l if total is None else T.add(total, l)
-        loss = T.mul(total, 1.0 / len(batch))
-        backward(loss)
-        training.clip_gradients((p for _, p in named))
-        training.adam_step(named, opt, training.lr_at(opt.t + 1, train_cfg.step_w, model_cfg.d_model))
+        lr = training.lr_at(opt.t + 1, train_cfg.step_w, model_cfg.d_model)
+        training.train_step(model, opt, batches[k % len(batches)], lr, train_cfg.loss)
 
     for k in range(warmup):
         step(k)
@@ -344,15 +329,25 @@ def read_eval_manifest(path: str) -> list[tuple[str, str, float]]:
 
     base = os.path.dirname(os.path.abspath(path))
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected '<clean> <noise> <snr_db>'")
-            rows.append((os.path.join(base, parts[0]), os.path.join(base, parts[1]), float(parts[2])))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: evaluation manifest is not UTF-8 text ({e})") from None
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected '<clean> <noise> <snr_db>'")
+        try:
+            snr = float(parts[2])
+            if not math.isfinite(snr):
+                raise ValueError
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: snr_db {parts[2]!r} is not a finite number") from None
+        rows.append((os.path.join(base, parts[0]), os.path.join(base, parts[1]), snr))
     if not rows:
         raise DataError(f"{path}: empty evaluation manifest")
     return rows

@@ -1,10 +1,11 @@
 """Mask-estimation models: shared projection layers around a backbone stack.
 
-Every model maps a magnitude spectrogram [L, 257] to a mask in (0, 1) of the
-same shape: frame-wise layer norm -> ReLU -> 1-D conv into d_model, an
-optional additive sinusoidal table, N backbone blocks, then a 1-D conv back
-to 257 bins under a sigmoid. Rotary embeddings, when configured, act inside
-every attention head instead of on the embedding.
+Every model maps a magnitude spectrogram [L, 257] (or a batch of them,
+[B, L, 257]) to a mask in (0, 1) of the same shape: frame-wise layer norm
+-> ReLU -> 1-D conv into d_model, an optional additive sinusoidal table,
+N backbone blocks, then a 1-D conv back to 257 bins under a sigmoid.
+Rotary embeddings, when configured, act inside every attention head
+instead of on the embedding.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ class EnhancementModel(Module):
         return self.input_norm.gain.dtype
 
     def __call__(self, mag) -> Tensor:
-        """Magnitude frames [L, 257] -> mask logits squashed to (0, 1)."""
+        """Magnitude frames [L, 257], or a batch of equal-length clips
+        [B, L, 257] -> mask logits squashed to (0, 1), same shape."""
         x = mag if isinstance(mag, Tensor) else Tensor(np.asarray(mag, dtype=self.dtype))
-        if x.ndim != 2 or x.shape[1] != N_BINS:
-            raise DimensionError(f"model input must be [frames, {N_BINS}], got {x.shape}")
+        if x.ndim not in (2, 3) or x.shape[-1] != N_BINS:
+            raise DimensionError(
+                f"model input must be [frames, {N_BINS}] or [batch, frames, {N_BINS}], got {x.shape}"
+            )
         h = self.input_proj(T.relu(self.input_norm(x)))
         if self.cfg.pe == "sin":
             h = PE.add_sinusoidal(h)

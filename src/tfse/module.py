@@ -110,9 +110,9 @@ class BlockDiagonal(Module):
         self.w = _uniform(rng, (self.n_blocks, block_size, block_size), block_size, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        L, d = x.shape
-        xb = T.reshape(x, L, self.n_blocks, self.block_size)
-        xb = T.transpose(xb, (1, 0, 2))  # [nb, L, bs]
+        # the rows of all leading axes fold into one: [..., d] -> [N, nb, bs]
+        xb = T.reshape(x, -1, self.n_blocks, self.block_size)
+        xb = T.transpose(xb, (1, 0, 2))  # [nb, N, bs]
         yb = T.matmul(xb, self.w)
         yb = T.transpose(yb, (1, 0, 2))
-        return T.reshape(yb, L, d)
+        return T.reshape(yb, x.shape)

@@ -33,8 +33,8 @@ def sinusoidal_table(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
 
 
 def add_sinusoidal(x: Tensor) -> Tensor:
-    """x + sinusoidal table for x of shape [L, d_model]."""
-    L, d = x.shape
+    """x + sinusoidal table for x of shape [..., L, d_model]."""
+    L, d = x.shape[-2:]
     return T.add(x, Tensor(sinusoidal_table(L, d, x.dtype)))
 
 

@@ -11,10 +11,10 @@ for bounded inputs.
 
 selective_scan_seq builds the recurrence from graph primitives one step at a
 time and is the reference. selective_scan_par is the engine the models use:
-one graph node whose forward runs the recurrence in place over a single
-d_inner x d_state state, O(L) work, and keeps the L x d_inner x d_state state
-history only when the graph is being recorded. Its backward is the reverse
-scan
+one graph node whose forward runs the recurrence in place over one
+d_inner x d_state state per clip of a batch, O(L) work, and keeps the
+L x d_inner x d_state state history only when the graph is being recorded.
+Its backward is the reverse scan
 
     dh_t = C_t (x) dy_t + exp(delta_{t+1} * A) * dh_{t+1}
 
@@ -43,67 +43,101 @@ def _check_finite(name: str, *tensors: Tensor) -> None:
 
 
 def selective_scan_seq(u, delta, A, B, C, D) -> Tensor:
-    """Step-by-step reference engine. Shapes: u, delta [L, d_inner];
-    A [d_inner, d_state]; B, C [L, d_state]; D [d_inner]."""
+    """Step-by-step reference engine. Shapes: u, delta [..., L, d_inner];
+    A [d_inner, d_state]; B, C [..., L, d_state]; D [d_inner]. Leading
+    axes are batch axes."""
     _check_finite("selective_scan_seq", u, delta, A, B, C, D)
-    L, d_inner = u.shape
+    *lead, L, d_inner = u.shape
     d_state = A.shape[1]
-    dA = T.exp(T.mul(T.reshape(delta, L, d_inner, 1), T.reshape(A, 1, d_inner, d_state)))
-    dBu = T.mul(T.reshape(T.mul(delta, u), L, d_inner, 1), T.reshape(B, L, 1, d_state))
-    h_t = Tensor(np.zeros((d_inner, d_state), dtype=u.dtype))
+    dA = T.exp(T.mul(T.reshape(delta, *lead, L, d_inner, 1), A))
+    dBu = T.mul(T.reshape(T.mul(delta, u), *lead, L, d_inner, 1), T.reshape(B, *lead, L, 1, d_state))
+    h_t = Tensor(np.zeros((*lead, d_inner, d_state), dtype=u.dtype))
     rows = []
     for t in range(L):
-        h_t = T.add(T.mul(dA[t], h_t), dBu[t])
-        rows.append(T.reshape(h_t, 1, d_inner, d_state))
-    h = T.concat(rows, axis=0)
-    y = T.sum_(T.mul(h, T.reshape(C, L, 1, d_state)), axis=2)
+        h_t = T.add(T.mul(dA[..., t, :, :], h_t), dBu[..., t, :, :])
+        rows.append(T.reshape(h_t, *lead, 1, d_inner, d_state))
+    h = T.concat(rows, axis=-3)
+    y = T.sum_(T.mul(h, T.reshape(C, *lead, L, 1, d_state)), axis=-1)
     return T.add(y, T.mul(u, D))
+
+
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """[..., L, c] -> contiguous [L, N, c], the N clips of the leading axes folded."""
+    L, c = x.shape[-2:]
+    return np.ascontiguousarray(x.reshape(-1, L, c).swapaxes(0, 1))
 
 
 def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
     """Fused engine: one graph node with an analytic reverse-scan backward.
-    Same contract and result as the sequential one up to floating-point
-    summation order."""
+    Same contract (leading batch axes included) and result as the
+    sequential one up to floating-point summation order."""
     inputs = (u, delta, A, B, C, D)
     _check_finite("selective_scan_par", *inputs)
-    ud, dt, Bd, Cd, Dd = u.data, delta.data, B.data, C.data, D.data
-    # The state is held as [d_state, d_inner], so every per-step op runs
+    # Time-major inside, [L, N, ...] over the N folded clips, so every
+    # per-frame slice below is one basic index into a contiguous block. The
+    # state is held as [N, d_state, d_inner], so every per-step op runs
     # along the long d_inner rows; numpy's broadcasting loops are much slower
     # over the short d_state rows of the [d_inner, d_state] layout.
+    ud, dt, Bd, Cd = (_time_major(x.data) for x in (u, delta, B, C))
+    Dd = D.data
     At = np.ascontiguousarray(A.data.T)
-    L = ud.shape[0]
+    L, N, d_inner = ud.shape
     du = dt * ud
-    h = np.zeros(At.shape, dtype=ud.dtype)
-    hs = np.empty((L,) + h.shape, dtype=h.dtype) if T.is_recording(inputs) else None
+    shape = (N,) + At.shape
+    hs = np.empty((L,) + shape, dtype=ud.dtype) if T.is_recording(inputs) else None
     y = np.empty_like(ud)
+    dt_t, du_t, B_t = dt[:, :, None, :], du[:, :, None, :], Bd[:, :, :, None]
+    C_t, y_t = Cd[:, :, None, :], y[:, :, None, :]
+    h, a, outer = (np.zeros(shape, dtype=ud.dtype) for _ in range(3))
     for t in range(L):
-        h *= np.exp(dt[t] * At)
-        h += Bd[t, :, None] * du[t]
-        y[t] = Cd[t] @ h
-        if hs is not None:
-            hs[t] = h
+        np.exp(np.multiply(dt_t[t], At, out=a), out=a)
+        h = np.multiply(h, a, out=h if hs is None else hs[t])
+        # (delta_t u_t) B_t as a broadcast copy scaled in place: numpy runs
+        # that faster than a multiply that broadcasts both operands
+        np.copyto(outer, du_t[t])
+        outer *= B_t[t]
+        h += outer
+        np.matmul(C_t[t], h, out=y_t[t])
     y += ud * Dd
 
     def grad_fn(g):
-        dA = np.exp(dt[:, None, :] * At)
-        dhs = np.empty_like(hs)
-        dh = np.zeros_like(h)
+        g = _time_major(g)
+        # One reverse pass over the frames. dh_t, the gradient of h_t, gives
+        # frame t its u, B and C gradients and carries to t-1 as
+        # dh_t * exp(delta_t * A); that carry times h_{t-1} is the gradient
+        # of delta_t * A taken before the exp, which gives the delta and A
+        # gradients. exp(delta_t * A) is formed again rather than kept from
+        # the forward, and every reduction runs on one frame's slices while
+        # they are in cache: reading and writing whole-history buffers costs
+        # more than the exps.
+        d_du, d_delta, dB, dC = np.empty_like(ud), np.empty_like(ud), np.empty_like(Bd), np.empty_like(Cd)
+        dA_sum = np.zeros_like(At)
+        g_t, g_col = g[:, :, None, :], g[:, :, :, None]
+        C_col, B_row, du_col = Cd[:, :, :, None], Bd[:, :, None, :], du[:, :, :, None]
+        d_du_t, dB_t, dC_t = d_du[:, :, None, :], dB[:, :, :, None], dC[:, :, :, None]
+        dh, tmp, a = (np.zeros(shape, dtype=ud.dtype) for _ in range(3))
         for t in range(L - 1, -1, -1):
-            dh += Cd[t, :, None] * g[t]
-            dhs[t] = dh
-            dh *= dA[t]  # carry to t-1
-        d_pre = dhs * dA  # gradient of delta_t * A, taken before the exp
-        d_pre[1:] *= hs[:-1]
-        d_pre[0] = 0.0  # h_{-1} = 0
-        d_du = np.einsum("lji,lj->li", dhs, Bd)
-        u._accumulate(g * Dd + d_du * dt)
-        delta._accumulate(np.einsum("lji,ji->li", d_pre, At) + d_du * ud)
-        A._accumulate(np.einsum("li,lji->ij", dt, d_pre))
-        B._accumulate(np.einsum("li,lji->lj", du, dhs))
-        C._accumulate(np.einsum("li,lji->lj", g, hs))
-        D._accumulate((g * ud).sum(axis=0))
+            np.copyto(tmp, g_t[t])
+            tmp *= C_col[t]
+            dh += tmp
+            np.matmul(B_row[t], dh, out=d_du_t[t])
+            np.matmul(dh, du_col[t], out=dB_t[t])
+            np.matmul(hs[t], g_col[t], out=dC_t[t])
+            dh *= np.exp(np.multiply(dt_t[t], At, out=a), out=a)  # carry to t-1
+            if t:
+                d_pre = np.multiply(dh, hs[t - 1], out=tmp)
+                np.einsum("nji,ji->ni", d_pre, At, out=d_delta[t])
+                dA_sum += np.einsum("ni,nji->ji", dt[t], d_pre)
+        d_delta[0] = 0.0  # h_{-1} = 0
+        d_delta += d_du * ud
+        d_du *= dt
+        d_du += g * Dd
+        for x, dx in ((u, d_du), (delta, d_delta), (B, dB), (C, dC)):
+            x._accumulate(dx.swapaxes(0, 1).reshape(x.shape))
+        A._accumulate(dA_sum.T)
+        D._accumulate((g * ud).sum(axis=(0, 1)))
 
-    return T._make(y, inputs, grad_fn, "selective_scan")
+    return T._make(y.swapaxes(0, 1).reshape(u.shape), inputs, grad_fn, "selective_scan")
 
 
 _SCANS = {"seq": selective_scan_seq, "par": selective_scan_par}
@@ -140,13 +174,13 @@ class MambaCore(Module):
 
     def __call__(self, x: Tensor, scan: str = "par") -> Tensor:
         di, ds, dr = self.d_inner, self.d_state, self.dt_rank
-        h = self.in_proj(self.norm(x))  # [L, 2*d_inner]
-        u = T.silu(self.conv(h[:, :di], causal=True))
-        z = h[:, di:]
-        dbc = self.x_proj(u)  # [L, dt_rank + 2*d_state]
-        delta = T.softplus(self.dt_proj(dbc[:, :dr]))
-        B = dbc[:, dr:dr + ds]
-        C = dbc[:, dr + ds:]
+        h = self.in_proj(self.norm(x))  # [..., L, 2*d_inner]
+        u = T.silu(self.conv(h[..., :di], causal=True))
+        z = h[..., di:]
+        dbc = self.x_proj(u)  # [..., L, dt_rank + 2*d_state]
+        delta = T.softplus(self.dt_proj(dbc[..., :dr]))
+        B = dbc[..., dr:dr + ds]
+        C = dbc[..., dr + ds:]
         A = T.neg(T.exp(self.A_log))
         y = _SCANS[scan](u, delta, A, B, C, self.D)
         y = T.mul(y, T.silu(z))
@@ -176,5 +210,5 @@ class BiMambaBlock(Module):
         self.bwd = MambaCore(d_model, rng, dtype, d_state, expand, d_conv)
 
     def __call__(self, x: Tensor, scan: str = "par") -> Tensor:
-        back = self.bwd(x[::-1], scan)[::-1]
+        back = self.bwd(x[..., ::-1, :], scan)[..., ::-1, :]  # frames, not the batch
         return T.add(x, T.add(self.fwd(x, scan), back))

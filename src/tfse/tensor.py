@@ -123,6 +123,14 @@ class Tensor:
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
+    def _accumulate_at(self, idx, g: np.ndarray) -> None:
+        """Add g into the region self.grad[idx] (basic indexing, no duplicates)."""
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
+        self.grad[idx] += g
+
     def backward(self) -> None:
         backward(self)
 
@@ -388,10 +396,11 @@ def _sigmoid_nd(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     # e = exp(-|x|) (passed in by callers that already have it) it is
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below, computed in whole-array
     # passes (boolean-mask indexing is several times slower on
-    # activation-sized arrays).
+    # activation-sized arrays). Since e <= 1, maximum(e, x >= 0) is that
+    # numerator, NaN included, in one pass (where() is slower).
     if e is None:
         e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0)
     return np.divide(out, 1.0 + e, out=out)
 
 
@@ -427,10 +436,9 @@ def softplus(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     out = np.log1p(e) + np.maximum(x, 0.0)
-    s = _sigmoid_nd(x, e)
 
     def grad_fn(g):
-        a._accumulate(g * s)
+        a._accumulate(g * _sigmoid_nd(x, e))
 
     return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softplus")
 
@@ -466,6 +474,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    if bd.ndim == 2 and ad.ndim > 2:
+        # a weight under batched rows: one GEMM over the folded leading axes
+        # for the product and for the weight's gradient (no [..., k, n] stack)
+        rows = ad.reshape(-1, ad.shape[-1])
+
+        def grad_fn(g):
+            g = g.reshape(-1, g.shape[-1])
+            a._accumulate((g @ bd.T).reshape(ad.shape))
+            b._accumulate(rows.T @ g)
+
+        return _make((rows @ bd).reshape(*ad.shape[:-1], -1), (a, b), grad_fn, "matmul")
 
     def grad_fn(g):
         a._accumulate(np.matmul(g, bd.swapaxes(-1, -2)))
@@ -512,12 +531,9 @@ def getitem(a: Tensor, idx) -> Tensor:
             # integer/boolean arrays can alias elements; += would drop duplicates
             raise GraphError(f"getitem supports basic indexing only, got {type(item).__name__}")
     out = a.data[idx]
-    shape, dtype = a.data.shape, a.data.dtype
 
     def grad_fn(g):
-        buf = np.zeros(shape, dtype=dtype)
-        buf[idx] += g
-        a._accumulate(buf)
+        a._accumulate_at(idx, g)
 
     return _make(out, (a,), grad_fn, "getitem")
 
@@ -610,35 +626,39 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return add(mul(mul(xc, inv), gain), bias)
 
 
+def _pad_frames(x: Tensor, k: int, causal: bool) -> Tensor:
+    """Pad the frame axis (-2) for a length-preserving k-tap convolution:
+    k-1 frames on the left when causal, else (k-1)//2 left and k//2 right."""
+    lo = k - 1 if causal else (k - 1) // 2
+    return pad(x, ((0, 0),) * (x.ndim - 2) + ((lo, k - 1 - lo), (0, 0)))
+
+
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool = False) -> Tensor:
     """Length-preserving 1-D convolution over frames.
 
     Args:
-        x: [L, C_in] input frames.
+        x: [..., L, C_in] input frames (leading axes are batch axes).
         kernel: [k, C_in, C_out] filter taps.
         bias: optional [C_out].
         causal: pad k-1 frames on the left only; otherwise pad symmetrically
             ((k-1)//2 left, k//2 right).
 
     Returns:
-        [L, C_out].
+        [..., L, C_out].
     """
-    if x.ndim != 2 or kernel.ndim != 3:
-        raise DimensionError(f"conv1d expects x [L,C_in], kernel [k,C_in,C_out]; got {x.shape}, {kernel.shape}")
+    if x.ndim < 2 or kernel.ndim != 3:
+        raise DimensionError(f"conv1d expects x [..., L, C_in], kernel [k, C_in, C_out]; got {x.shape}, {kernel.shape}")
     k, c_in, _ = kernel.shape
-    if x.shape[1] != c_in:
-        raise DimensionError(f"conv1d channel mismatch: x has {x.shape[1]}, kernel expects {c_in}")
-    L = x.shape[0]
+    if x.shape[-1] != c_in:
+        raise DimensionError(f"conv1d channel mismatch: x has {x.shape[-1]}, kernel expects {c_in}")
+    L = x.shape[-2]
     if k == 1:
         out = matmul(x, getitem(kernel, 0))
     else:
-        if causal:
-            xp = pad(x, ((k - 1, 0), (0, 0)))
-        else:
-            xp = pad(x, (((k - 1) // 2, k // 2), (0, 0)))
+        xp = _pad_frames(x, k, causal)
         out = None
         for j in range(k):
-            term = matmul(getitem(xp, slice(j, j + L)), getitem(kernel, j))
+            term = matmul(getitem(xp, (Ellipsis, slice(j, j + L), slice(None))), getitem(kernel, j))
             out = term if out is None else add(out, term)
     if bias is not None:
         out = add(out, bias)
@@ -646,21 +666,18 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool =
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool = False) -> Tensor:
-    """Per-channel 1-D convolution: kernel [k, C] filters channel c with its
-    own k taps. Padding matches conv1d."""
-    if x.ndim != 2 or kernel.ndim != 2:
-        raise DimensionError(f"depthwise_conv1d expects x [L,C], kernel [k,C]; got {x.shape}, {kernel.shape}")
+    """Per-channel 1-D convolution: kernel [k, C] filters channel c of
+    x [..., L, C] with its own k taps. Padding matches conv1d."""
+    if x.ndim < 2 or kernel.ndim != 2:
+        raise DimensionError(f"depthwise_conv1d expects x [..., L, C], kernel [k, C]; got {x.shape}, {kernel.shape}")
     k, c = kernel.shape
-    if x.shape[1] != c:
-        raise DimensionError(f"depthwise_conv1d channel mismatch: x has {x.shape[1]}, kernel expects {c}")
-    L = x.shape[0]
-    if causal:
-        xp = pad(x, ((k - 1, 0), (0, 0)))
-    else:
-        xp = pad(x, (((k - 1) // 2, k // 2), (0, 0)))
+    if x.shape[-1] != c:
+        raise DimensionError(f"depthwise_conv1d channel mismatch: x has {x.shape[-1]}, kernel expects {c}")
+    L = x.shape[-2]
+    xp = _pad_frames(x, k, causal)
     out = None
     for j in range(k):
-        term = mul(getitem(xp, slice(j, j + L)), getitem(kernel, j))
+        term = mul(getitem(xp, (Ellipsis, slice(j, j + L), slice(None))), getitem(kernel, j))
         out = term if out is None else add(out, term)
     if bias is not None:
         out = add(out, bias)

@@ -22,7 +22,7 @@ from . import dsp
 from . import tensor as T
 from .archive import load_tensors, save_tensors
 from .config import RunConfig
-from .errors import ConfigError, DataError, TrainingAborted
+from .errors import ConfigError, DataError, FormatError, TrainingAborted
 from .model import EnhancementModel, build_model, load_model, save_model
 from .tensor import Tensor, backward
 
@@ -51,14 +51,19 @@ def load_corpus(manifest_path: str) -> Corpus:
             lines = fh.readlines()
     except OSError as e:
         raise DataError(f"cannot read corpus manifest {manifest_path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{manifest_path}: corpus manifest is not UTF-8 text ({e})") from None
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split(None, 1)
-        if len(parts) != 2 or parts[0] not in ("s", "n"):
+        if len(parts) != 2 or parts[0] not in ("s", "n") or "\0" in parts[1]:
             raise DataError(f"{manifest_path}:{lineno}: expected 's <path>' or 'n <path>'")
-        wave = dsp.read_wav(os.path.join(base, parts[1]))
+        try:
+            wave = dsp.read_wav(os.path.join(base, parts[1]))
+        except OSError as e:
+            raise DataError(f"{manifest_path}:{lineno}: cannot read {parts[1]!r}: {e}") from None
         (speech if parts[0] == "s" else noise).append(wave)
     if not speech or not noise:
         raise DataError(f"{manifest_path}: corpus needs at least one speech and one noise recording")
@@ -154,7 +159,12 @@ def adam_step(
     beta2: float = 0.98,
     eps: float = 1e-9,
 ) -> None:
-    """One bias-corrected Adam update over (name, param) pairs."""
+    """One bias-corrected Adam update over (name, param) pairs.
+
+    The update is m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2,
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), computed op for op in that
+    order through two scratch buffers instead of a temporary per op.
+    """
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -168,11 +178,19 @@ def adam_step(
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
+        a, b = np.empty_like(m), np.empty_like(m)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        a = np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v += a
+        a = np.divide(m, bc1, out=a)
+        a *= lr
+        b = np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += eps
+        a /= b
+        p.data -= a
 
 
 # ---- checkpoints ----------------------------------------------------------
@@ -212,22 +230,49 @@ def save_checkpoint(
     os.replace(tmp, ckpt_dir)
 
 
+def _read_state(path: str) -> dict:
+    """state.json, checked: a JSON object with non-negative integer
+    epochs_done, global_step and adam_t, and an rng entry."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{path}: not a JSON checkpoint state ({e})") from None
+    if not isinstance(state, dict):
+        raise FormatError(f"{path}: expected a JSON object, got a {type(state).__name__}")
+    for key in ("epochs_done", "global_step", "adam_t", "rng"):
+        if key not in state:
+            raise FormatError(f"{path}: missing key {key!r}")
+        if key != "rng" and (type(state[key]) is not int or state[key] < 0):
+            raise FormatError(f"{path}: {key} must be a non-negative integer, got {state[key]!r}")
+    return state
+
+
 def load_checkpoint(ckpt_dir: str, dtype=np.float32):
-    """Returns (model, run_cfg, AdamState, rng, epochs_done, global_step)."""
+    """Returns (model, run_cfg, AdamState, rng, epochs_done, global_step).
+
+    Raises FormatError, naming the file and the entry, on a malformed
+    optimizer archive or state.json.
+    """
     model, run_cfg = load_model(ckpt_dir, dtype)
     opt = AdamState()
     opt_path = os.path.join(ckpt_dir, OPTIM_ARCHIVE)
     if os.path.exists(opt_path):
         for key, arr in load_tensors(opt_path).items():
-            kind, name = key.split(".", 1)
+            kind, _, name = key.partition(".")
+            if kind not in ("m", "v") or not name:
+                raise FormatError(f"{opt_path}: {key!r} is not an m.<param> or v.<param> moment")
             (opt.m if kind == "m" else opt.v)[name] = arr.astype(dtype)
-    with open(os.path.join(ckpt_dir, STATE_FILE), "r", encoding="utf-8") as fh:
-        state = json.load(fh)
-    opt.t = int(state["adam_t"])
+    state_path = os.path.join(ckpt_dir, STATE_FILE)
+    state = _read_state(state_path)
+    opt.t = state["adam_t"]
     bitgen = np.random.PCG64()
-    bitgen.state = state["rng"]
+    try:
+        bitgen.state = state["rng"]
+    except (TypeError, ValueError, KeyError, OverflowError) as e:
+        raise FormatError(f"{state_path}: 'rng' is not a PCG64 generator state ({type(e).__name__}: {e})") from None
     rng = np.random.Generator(bitgen)
-    return model, run_cfg, opt, rng, int(state["epochs_done"]), int(state["global_step"])
+    return model, run_cfg, opt, rng, state["epochs_done"], state["global_step"]
 
 
 def latest_checkpoint(out_dir: str) -> str:
@@ -242,6 +287,42 @@ def latest_checkpoint(out_dir: str) -> str:
 
 
 # ---- the loop --------------------------------------------------------------
+
+
+def train_step(model: EnhancementModel, opt: AdamState, batch, lr: float, loss_kind: str) -> tuple[float, float]:
+    """One optimizer step on a batch of (magnitude, target) clips, each
+    [frames, 257]: forward, loss, backward, gradient clipping and Adam.
+
+    Clips of equal frame count are stacked and run as one graph; a batch of
+    mixed lengths runs one graph per frame count, each group's mean loss
+    weighted by its share of the batch, so the loss is always the mean of
+    the per-clip mean losses. Returns (loss, max |gradient| before
+    clipping). Raises TrainingAborted, before any update, when the loss is
+    not finite.
+    """
+    groups: dict[int, list] = {}
+    for mag, target in batch:
+        groups.setdefault(mag.shape[0], []).append((mag, target))
+    model.zero_grad()
+    loss = None
+    for clips in groups.values():
+        mags = np.stack([mag for mag, _ in clips])
+        targets = np.stack([target for _, target in clips])
+        part = T.mul(clip_loss(model(Tensor(mags)), targets, mags, loss_kind), len(clips) / len(batch))
+        loss = part if loss is None else T.add(loss, part)
+    value = loss.item()
+    named = list(model.named_parameters())
+    if not np.isfinite(value):
+        raise TrainingAborted(
+            f"non-finite loss: loss={value!r}, lr={lr:.6e}, "
+            f"max|param|={max(float(np.abs(p.data).max()) for _, p in named):.6e}"
+        )
+    backward(loss)
+    grads = [p.grad for _, p in named if p.grad is not None]
+    grad_max = max((float(np.maximum(g.max(), -g.min())) for g in grads), default=0.0)
+    clip_gradients(p for _, p in named)
+    adam_step(named, opt, lr)
+    return value, grad_max
 
 
 @dataclass
@@ -288,7 +369,6 @@ def train(
 
     last_loss = float("nan")
     last_grad_max = 0.0
-    named = list(model.named_parameters())
     stop = False
     ckpt_dir = resume_from or ""
 
@@ -301,28 +381,13 @@ def train(
             ):
                 global_step += 1
                 lr = lr_at(global_step, train_cfg.step_w, model_cfg.d_model)
-                model.zero_grad()
-                total = None
-                for mag, target in batch:
-                    pred = model(Tensor(mag))
-                    l = clip_loss(pred, target, mag, train_cfg.loss)
-                    total = l if total is None else T.add(total, l)
-                loss = T.mul(total, 1.0 / len(batch))
-                last_loss = loss.item()
-                if not np.isfinite(last_loss):
+                try:
+                    last_loss, last_grad_max = train_step(model, opt, batch, lr, train_cfg.loss)
+                except TrainingAborted as e:
                     raise TrainingAborted(
-                        f"non-finite loss at step {global_step} (epoch {epoch}): "
-                        f"loss={last_loss!r}, lr={lr:.6e}, "
-                        f"max|param|={max(float(np.abs(p.data).max()) for _, p in named):.6e}, "
+                        f"step {global_step} (epoch {epoch}): {e}, "
                         f"max|grad| at previous step={last_grad_max:.6e}"
-                    )
-                backward(loss)
-                last_grad_max = max(
-                    (float(np.abs(p.grad).max()) for _, p in named if p.grad is not None),
-                    default=0.0,
-                )
-                clip_gradients((p for _, p in named))
-                adam_step(named, opt, lr)
+                    ) from None
                 csv.write(f"{global_step},{epoch},{lr!r},{last_loss!r}\n")
                 if progress is not None:
                     progress(global_step, epoch, lr, last_loss)

@@ -222,31 +222,38 @@ class MLSTMCore(Module):
         self.out_gain = Tensor(np.ones(d_inner, dtype=dtype), requires_grad=True)
         self.down_proj = Linear(d_inner, d_model, rng, dtype, bias=False)
 
-    def _head_norm(self, h: Tensor, L: int) -> Tensor:
+    def _head_norm(self, h: Tensor) -> Tensor:
         # zero-mean unit-variance per group of d_head consecutive features, then a per-feature gain
-        hh = T.reshape(h, L, self.heads, self.d_head)
+        hh = T.reshape(h, *h.shape[:-1], self.heads, self.d_head)
         mu = T.mean(hh, axis=-1, keepdims=True)
         hc = T.sub(hh, mu)
         var = T.mean(T.mul(hc, hc), axis=-1, keepdims=True)
         normed = T.mul(hc, T.pow_const(T.add(var, 1e-5), -0.5))
-        return T.mul(T.reshape(normed, L, self.d_inner), self.out_gain)
+        return T.mul(T.reshape(normed, h.shape), self.out_gain)
 
     def __call__(self, x: Tensor) -> Tensor:
-        L = x.shape[0]
+        """x [..., L, d_model] (leading axes are batch axes)."""
+        *lead, L, _ = x.shape
         H, dh, di = self.heads, self.d_head, self.d_inner
-        up = self.up_proj(self.norm(x))  # [L, 2*d_inner]
-        z = up[:, di:]
-        xc = T.silu(self.conv(up[:, :di], causal=True))
-        q = T.transpose(T.reshape(self.q_proj(xc), L, H, dh), (1, 0, 2))  # [H, L, dh]
-        k = T.transpose(T.reshape(T.mul(self.k_proj(xc), dh ** -0.5), L, H, dh), (1, 0, 2))
-        v = T.transpose(T.reshape(self.v_proj(xc), L, H, dh), (1, 0, 2))
-        ig = T.transpose(self.i_gate(xc), (1, 0))  # [H, L]
-        fg = T.transpose(self.f_gate(xc), (1, 0))
-        # [H, L, dh] -> [L, d_inner] with features in d-major order (index d * H + head)
-        h = T.reshape(T.transpose(mlstm_scan(q, k, v, ig, fg), (1, 2, 0)), L, di)
+        up = self.up_proj(self.norm(x))  # [..., L, 2*d_inner]
+        z = up[..., di:]
+        xc = T.silu(self.conv(up[..., :di], causal=True))
+
+        def heads_first(t: Tensor) -> Tensor:  # [..., L, H * n] -> [N * H, L, n], clips folded into heads
+            t = T.swapaxes(T.reshape(t, -1, L, H, t.shape[-1] // H), 1, 2)
+            return T.reshape(t, -1, L, t.shape[-1])
+
+        q = heads_first(self.q_proj(xc))  # [N * H, L, dh]
+        k = heads_first(T.mul(self.k_proj(xc), dh ** -0.5))
+        v = heads_first(self.v_proj(xc))
+        ig = T.reshape(T.swapaxes(self.i_gate(xc), -1, -2), -1, L)  # [N * H, L]
+        fg = T.reshape(T.swapaxes(self.f_gate(xc), -1, -2), -1, L)
+        # [N * H, L, dh] -> [..., L, d_inner] with features in d-major order (index d * H + head)
+        h = T.reshape(mlstm_scan(q, k, v, ig, fg), -1, H, L, dh)
+        h = T.reshape(T.transpose(h, (0, 2, 3, 1)), *lead, L, di)
         if not np.all(np.isfinite(h.data)):
             raise NumericError("mlstm scan produced non-finite state")
-        h = self._head_norm(h, L)
+        h = self._head_norm(h)
         h = T.add(h, T.mul(self.skip, xc))
         h = T.mul(h, T.silu(z))
         return self.down_proj(h)
@@ -272,7 +279,7 @@ class CBiXLSTMBlock(Module):
         self.bwd = MLSTMBlock(d_model, rng, dtype, heads, proj_factor)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.bwd(self.fwd(x)[::-1])[::-1]
+        return self.bwd(self.fwd(x)[..., ::-1, :])[..., ::-1, :]  # frames, not the batch
 
 
 class PBiXLSTMBlock(Module):
@@ -284,5 +291,5 @@ class PBiXLSTMBlock(Module):
         self.bwd = MLSTMCore(d_model, rng, dtype, heads, proj_factor)
 
     def __call__(self, x: Tensor) -> Tensor:
-        back = self.bwd(x[::-1])[::-1]
+        back = self.bwd(x[..., ::-1, :])[..., ::-1, :]  # frames, not the batch
         return T.add(x, T.add(self.fwd(x), back))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfse.config import (
     BACKBONES,
@@ -13,7 +15,7 @@ from tfse.config import (
     shipped_config_names,
     write_config,
 )
-from tfse.errors import ConfigError
+from tfse.errors import ConfigError, FormatError, TfseError
 
 
 class TestParsing:
@@ -91,6 +93,17 @@ class TestModelValidation:
                 backbone="transformer", causal=False, pe="rope", d_model=36, heads=4
             ).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, 0.0])
+    def test_proj_factor_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigError, match="proj_factor"):
+            ModelConfig(backbone="xlstm", proj_factor=value).validate()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
+    def test_proj_factor_from_text_is_rejected_before_building(self, raw):
+        rc = parse_config_text(f"backbone = xlstm\nproj_factor = {raw}\n")
+        with pytest.raises(ConfigError, match="proj_factor"):
+            rc.model_config()
+
     def test_default_heads_resolve_per_family(self):
         assert ModelConfig(backbone="transformer").resolved_heads() == 8
         assert ModelConfig(backbone="xlstm").resolved_heads() == 4
@@ -145,3 +158,27 @@ class TestShippedConfigs:
     def test_resolver_rejects_unknown_names(self):
         with pytest.raises(ConfigError, match="shipped"):
             resolve_config_arg("definitely-not-a-preset")
+
+
+class TestMalformedText:
+    def test_non_utf8_config_file(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"backbone = mamba\n# caf\xe9\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_config(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.text(max_size=30)
+            | st.tuples(st.sampled_from(sorted(RunConfig.__dataclass_fields__)), st.text(max_size=12)).map(
+                lambda kv: f"{kv[0]} = {kv[1]}"
+            ),
+            max_size=6,
+        )
+    )
+    def test_fuzzed_text_raises_only_tfse_errors(self, lines):
+        try:
+            parse_config_text("\n".join(lines))
+        except TfseError:
+            pass

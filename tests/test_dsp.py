@@ -6,6 +6,8 @@ np.fft, so the two implementations fail independently.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfse import dsp
 from tfse.errors import (
@@ -13,6 +15,7 @@ from tfse.errors import (
     DimensionError,
     FormatError,
     SampleRateError,
+    TfseError,
 )
 
 
@@ -248,6 +251,37 @@ class TestWavIo:
         path = self._raw_wav(tmp_path, self.PCM16_FMT[:8], 20, b"\x00" * 20)
         with pytest.raises(FormatError, match="fmt chunk"):
             dsp.read_wav(path)
+
+    def _read_or_tfse_error(self, tmp_path, blob: bytes) -> None:
+        path = str(tmp_path / "fuzz.wav")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            dsp.read_wav(path)
+        except TfseError:
+            pass
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=120))
+    def test_fuzzed_random_bytes_raise_only_tfse_errors(self, tmp_path, blob):
+        self._read_or_tfse_error(tmp_path, b"RIFF" + blob[:4] + b"WAVE" + blob[4:])
+        self._read_or_tfse_error(tmp_path, blob)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 80), st.integers(0, 79), st.integers(0, 255))
+    def test_fuzzed_truncated_and_corrupted_wav_raises_only_tfse_errors(self, tmp_path, cut, pos, byte):
+        import struct
+
+        # header of a valid 16-bit file (44 bytes) plus 18 samples
+        valid = (
+            b"RIFF" + struct.pack("<I", 36 + 36) + b"WAVE"
+            + b"fmt " + struct.pack("<I", 16) + self.PCM16_FMT
+            + b"data" + struct.pack("<I", 36) + bytes(range(36))
+        )
+        blob = bytearray(valid)
+        blob[pos] = byte
+        self._read_or_tfse_error(tmp_path, bytes(blob[:cut]))
+        self._read_or_tfse_error(tmp_path, bytes(blob))
 
     def test_stdlib_wave_reads_our_pcm16(self, tmp_path, rng):
         import wave

@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfse.config import RunConfig
 from tfse.dsp import SAMPLE_RATE, Waveform, mix_at_snr, read_wav, write_wav
-from tfse.errors import DataError, LengthError, SampleRateError
+from tfse.errors import DataError, FormatError, LengthError, SampleRateError, TfseError
 from tfse.evalbench import (
     BenchReport,
     RTFResult,
@@ -197,6 +199,29 @@ class TestEvalManifest:
         m.write_text("# nothing here\n")
         with pytest.raises(DataError, match="empty"):
             read_eval_manifest(str(m))
+
+    @pytest.mark.parametrize("snr", ["loud", "nan", "-inf"])
+    def test_non_numeric_snr_rejected(self, tmp_path, snr):
+        m = tmp_path / "eval.txt"
+        m.write_text(f"clean.wav noisy.wav 5\nc2.wav n2.wav {snr}\n")
+        with pytest.raises(DataError, match="eval.txt:2.*snr"):
+            read_eval_manifest(str(m))
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        m = tmp_path / "eval.txt"
+        m.write_bytes(b"cl\xe9an.wav noisy.wav 5\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_eval_manifest(str(m))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.text(max_size=30), max_size=5), st.binary(max_size=12))
+    def test_fuzzed_manifest_raises_only_tfse_errors(self, tmp_path, lines, junk):
+        m = tmp_path / "eval.txt"
+        m.write_bytes("\n".join(lines).encode("utf-8") + junk)
+        try:
+            read_eval_manifest(str(m))
+        except TfseError:
+            pass
 
 
 class TestExternalScorer:

@@ -109,6 +109,17 @@ class TestScanEquivalence:
         # grad_check perturbs args[which] in place, so f reads it from args
         assert grad_check(lambda _x: T.sum_(T.mul(selective_scan_par(*args), w)), args[which]) < 1e-7
 
+    def test_fused_backward_leaves_its_saved_state_intact(self, rng):
+        args = random_scan_inputs(rng, 30)
+        for a in args:
+            a.requires_grad = True
+        loss = T.sum_(T.mul(selective_scan_par(*args), Tensor(rng.normal(size=(30, 6)))))
+        T.backward(loss)
+        once = [a.grad.copy() for a in args]
+        T.backward(loss)  # a second pass over the same graph doubles every gradient
+        for a, g in zip(args, once):
+            np.testing.assert_allclose(a.grad, 2 * g, rtol=1e-12, atol=1e-14)
+
     def test_fused_scan_is_one_graph_node(self, rng):
         args = random_scan_inputs(rng, 9)
         for a in args:

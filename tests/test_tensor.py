@@ -293,6 +293,21 @@ class TestForwardSemantics:
         with pytest.raises(DimensionError):
             T.matmul(t64(rng, 3, 4), t64(rng, 5, 6))
 
+    def test_getitem_gradients_add_into_the_parent_gradient(self, rng):
+        x = t64(rng, 6, 3)
+        w1, w2, w3 = (rng.normal(size=(k, 3)) for k in (4, 4, 6))
+        loss = T.add(
+            T.add(T.sum_(T.mul(x[:4], w1)), T.sum_(T.mul(x[2:], w2))),
+            T.sum_(T.mul(x[::-1], w3)),
+        )
+        want = w3[::-1].copy()
+        want[:4] += w1
+        want[2:] += w2
+        backward(loss)
+        np.testing.assert_allclose(x.grad, want, atol=1e-12)
+        backward(loss)  # leaf gradients accumulate across calls
+        np.testing.assert_allclose(x.grad, 2 * want, atol=1e-12)
+
     def test_getitem_rejects_index_arrays(self, rng):
         x = t64(rng, 5)
         with pytest.raises(GraphError):

@@ -6,11 +6,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tfse import tensor as T
 from tfse import training
 from tfse.config import RunConfig
-from tfse.errors import ConfigError, DataError, TrainingAborted
+from tfse.errors import ConfigError, DataError, FormatError, TfseError, TrainingAborted
 from tfse.tensor import Tensor, backward
 from tfse.training import (
     AdamState,
@@ -23,6 +25,7 @@ from tfse.training import (
     lr_at,
     make_example,
     mask_mse,
+    save_checkpoint,
     masked_magnitude_mse,
     train,
 )
@@ -99,6 +102,30 @@ class TestOptimizer:
         p.grad = np.array([-7.0, -1.0, 0.3, 1.0, 9.0])
         clip_gradients([p])
         np.testing.assert_array_equal(p.grad, [-1.0, -1.0, 0.3, 1.0, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_update_is_the_textbook_formula_bit_for_bit(self, rng, dtype):
+        beta1, beta2, eps = 0.9, 0.98, 1e-9
+        shapes = {"w": (7, 5), "b": (5,)}
+        params = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for k, s in shapes.items()}
+        want = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+        state = AdamState()
+        for t in range(1, 6):
+            lr = 1e-2 / t
+            for k, s in shapes.items():
+                g = (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
+                params[k].grad = g.copy()
+                m[k] = beta1 * m[k] + (1.0 - beta1) * g
+                v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+                want[k] = want[k] - lr * (m[k] / (1.0 - beta1**t)) / (np.sqrt(v[k] / (1.0 - beta2**t)) + eps)
+            adam_step(list(params.items()), state, lr, beta1, beta2, eps)
+            for k, p in params.items():
+                assert p.data.dtype == dtype
+                np.testing.assert_array_equal(p.data, want[k])
+                np.testing.assert_array_equal(state.m[k], m[k])
+                np.testing.assert_array_equal(state.v[k], v[k])
 
     def test_params_without_grads_are_skipped(self):
         p = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
@@ -310,3 +337,132 @@ class TestCheckpointState:
         a = load_tensors(os.path.join(resumed.checkpoint_dir, "model.tensors"))
         b = load_tensors(os.path.join(straight.checkpoint_dir, "model.tensors"))
         assert all(np.array_equal(a[k], b[k]) for k in b)
+
+
+@pytest.fixture
+def small_checkpoint(tmp_path):
+    """A saved checkpoint of a one-block toy model; returns its directory."""
+    from tfse.model import build_model
+
+    rc = toy_config("", epochs=1)
+    ckpt = str(tmp_path / "ckpt-0001")
+    save_checkpoint(ckpt, build_model(rc.model_config(), seed=0), rc, AdamState(), np.random.default_rng(0), 1, 3)
+    return ckpt
+
+
+class TestMalformedCheckpointState:
+    """A damaged state.json raises FormatError naming the file and the key."""
+
+    def _write_state(self, ckpt, text: str) -> None:
+        with open(os.path.join(ckpt, "state.json"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def _state(self, ckpt) -> dict:
+        return json.load(open(os.path.join(ckpt, "state.json")))
+
+    def test_intact_state_loads(self, small_checkpoint):
+        *_, epochs_done, global_step = load_checkpoint(small_checkpoint)
+        assert (epochs_done, global_step) == (1, 3)
+
+    def test_truncated_json(self, small_checkpoint):
+        text = open(os.path.join(small_checkpoint, "state.json")).read()
+        self._write_state(small_checkpoint, text[: len(text) // 2])
+        with pytest.raises(FormatError, match="state.json.*JSON"):
+            load_checkpoint(small_checkpoint)
+
+    def test_json_list(self, small_checkpoint):
+        self._write_state(small_checkpoint, json.dumps([1, 2, 3]))
+        with pytest.raises(FormatError, match="state.json.*object"):
+            load_checkpoint(small_checkpoint)
+
+    def test_missing_key(self, small_checkpoint):
+        state = self._state(small_checkpoint)
+        del state["adam_t"]
+        self._write_state(small_checkpoint, json.dumps(state))
+        with pytest.raises(FormatError, match="state.json.*adam_t"):
+            load_checkpoint(small_checkpoint)
+
+    def test_non_integer_field(self, small_checkpoint):
+        state = self._state(small_checkpoint)
+        state["global_step"] = "three"
+        self._write_state(small_checkpoint, json.dumps(state))
+        with pytest.raises(FormatError, match="state.json.*global_step"):
+            load_checkpoint(small_checkpoint)
+
+    def test_bad_rng_state(self, small_checkpoint):
+        state = self._state(small_checkpoint)
+        state["rng"]["state"]["state"] = "not a number"
+        self._write_state(small_checkpoint, json.dumps(state))
+        with pytest.raises(FormatError, match="state.json.*rng"):
+            load_checkpoint(small_checkpoint)
+
+    def test_optimizer_moment_without_a_kind(self, small_checkpoint):
+        from tfse.archive import save_tensors
+
+        save_tensors(os.path.join(small_checkpoint, "optim.tensors"), {"x": np.zeros(2, np.float32)})
+        with pytest.raises(FormatError, match="optim.tensors.*'x'"):
+            load_checkpoint(small_checkpoint)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.dictionaries(
+            st.sampled_from(["epochs_done", "global_step", "adam_t", "rng", "other"]),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+                max_leaves=6,
+            ),
+            max_size=4,
+        ),
+        cut=st.integers(0, 400),
+    )
+    def test_fuzzed_state_raises_only_tfse_errors(self, small_checkpoint, edits, cut):
+        original = self._state(small_checkpoint)
+        text = json.dumps({**original, **edits})
+        try:
+            for damaged in (text, text[:cut]):
+                self._write_state(small_checkpoint, damaged)
+                try:
+                    load_checkpoint(small_checkpoint)
+                except TfseError:
+                    pass
+        finally:  # the next example starts from the intact state
+            self._write_state(small_checkpoint, json.dumps(original))
+
+
+class TestCorpusManifestInputs:
+    def test_non_utf8_manifest(self, tmp_path):
+        bad = tmp_path / "manifest.txt"
+        bad.write_bytes(b"s clip\xff\xfe.wav\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_corpus(str(bad))
+
+    def test_missing_recording_names_the_line(self, tmp_path):
+        bad = tmp_path / "manifest.txt"
+        bad.write_text("s nowhere.wav\n")
+        with pytest.raises(DataError, match=r"manifest.txt:1.*nowhere.wav"):
+            load_corpus(str(bad))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(
+            st.sampled_from(["s speech.wav", "n noise.wav", "s noise.wav", "# c", ""])
+            | st.text(max_size=20).map(lambda t: "s " + t)
+            | st.text(max_size=20),
+            max_size=5,
+        ),
+        junk=st.binary(max_size=8),
+    )
+    def test_fuzzed_manifest_raises_only_tfse_errors(self, tmp_path, corpus_manifest, lines, junk):
+        import shutil
+
+        base = os.path.dirname(corpus_manifest)
+        for name, src in (("speech.wav", "speech_000.wav"), ("noise.wav", "noise_000.wav")):
+            if not (tmp_path / name).exists():
+                shutil.copy(os.path.join(base, src), tmp_path / name)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes("\n".join(lines).encode("utf-8") + junk)
+        try:
+            load_corpus(str(manifest))
+        except TfseError:
+            pass
