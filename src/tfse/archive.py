@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .tensor import Tensor
 
 MAGIC = "tensor-archive 1"
@@ -67,59 +67,89 @@ def save_tensors(path: str, tensors: Mapping[str, "np.ndarray | Tensor"]) -> Non
         dtype = str(arr.dtype)
         if dtype not in _DTYPES:
             raise FormatError(f"unsupported dtype {dtype} for tensor {name!r}")
-        buf = np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes()
-        entries.append(f"{name} {dtype} {_shape_str(arr.shape)} {offset} {len(buf)}")
+        # the array's own buffer when it is already contiguous little-endian, no copy
+        buf = np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).reshape(-1)
+        entries.append(f"{name} {dtype} {_shape_str(arr.shape)} {offset} {buf.nbytes}")
         payloads.append(buf)
-        offset += len(buf)
+        offset += buf.nbytes
     header = [MAGIC, f"tensors {len(entries)}", *entries, "payload"]
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("utf-8"))
         for buf in payloads:
-            fh.write(buf)
+            fh.write(buf.view(np.uint8))
     os.replace(tmp, path)
 
 
-def load_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read an archive back into {name: ndarray} in manifest order."""
-    with open(path, "rb") as fh:
-        def line() -> str:
-            raw = fh.readline()
-            if not raw:
-                raise FormatError(f"{path}: truncated archive header")
-            try:
-                return raw.decode("utf-8").rstrip("\n")
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: archive header is not UTF-8") from None
+def _read_manifest(fh, path: str) -> dict[str, tuple[str, tuple[int, ...], int, int]]:
+    """Parse the header of the open archive `fh` up to the payload marker
+    into {name: (dtype, shape, offset, nbytes)}. Every entry is checked,
+    its extent against the file's size included, before anything is
+    allocated for it."""
 
-        if line() != MAGIC:
-            raise FormatError(f"{path}: not a tensor archive")
-        head = line().split()
-        if len(head) != 2 or head[0] != "tensors":
-            raise FormatError(f"{path}: bad tensor count line")
-        count = _parse_int(head[1], "tensor count", path)
-        entries: dict[str, tuple[str, tuple[int, ...], int, int]] = {}
-        for _ in range(count):
-            parts = line().split()
-            if len(parts) != 5:
-                raise FormatError(f"{path}: bad manifest entry {parts!r}")
-            name, dtype, shape_s, off_s, nbytes_s = parts
-            if dtype not in _DTYPES:
-                raise FormatError(f"{path}: unsupported dtype {dtype}")
-            if name in entries:
-                raise FormatError(f"{path}: tensor {name!r} listed twice")
-            shape = _parse_shape(shape_s)
-            off, nbytes = _parse_int(off_s, "offset", path), _parse_int(nbytes_s, "nbytes", path)
-            if nbytes != math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize:
-                raise FormatError(f"{path}: {nbytes} bytes do not hold a {dtype} tensor of shape {shape_s}")
-            entries[name] = (dtype, shape, off, nbytes)
-        if line() != "payload":
-            raise FormatError(f"{path}: missing payload marker")
-        blob = fh.read()
-    out: dict[str, np.ndarray] = {}
-    for name, (dtype, shape, off, nbytes) in entries.items():
-        if off + nbytes > len(blob):
+    def line() -> str:
+        raw = fh.readline()
+        if not raw:
+            raise FormatError(f"{path}: truncated archive header")
+        try:
+            return raw.decode("utf-8").rstrip("\n")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: archive header is not UTF-8") from None
+
+    if line() != MAGIC:
+        raise FormatError(f"{path}: not a tensor archive")
+    head = line().split()
+    if len(head) != 2 or head[0] != "tensors":
+        raise FormatError(f"{path}: bad tensor count line")
+    count = _parse_int(head[1], "tensor count", path)
+    entries: dict[str, tuple[str, tuple[int, ...], int, int]] = {}
+    for _ in range(count):
+        parts = line().split()
+        if len(parts) != 5:
+            raise FormatError(f"{path}: bad manifest entry {parts!r}")
+        name, dtype, shape_s, off_s, nbytes_s = parts
+        if dtype not in _DTYPES:
+            raise FormatError(f"{path}: unsupported dtype {dtype}")
+        if name in entries:
+            raise FormatError(f"{path}: tensor {name!r} listed twice")
+        shape = _parse_shape(shape_s)
+        off, nbytes = _parse_int(off_s, "offset", path), _parse_int(nbytes_s, "nbytes", path)
+        if nbytes != math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize:
+            raise FormatError(f"{path}: {nbytes} bytes do not hold a {dtype} tensor of shape {shape_s}")
+        entries[name] = (dtype, shape, off, nbytes)
+    if line() != "payload":
+        raise FormatError(f"{path}: missing payload marker")
+    payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+    for name, (_, _, off, nbytes) in entries.items():
+        if off + nbytes > payload_bytes:
             raise FormatError(f"{path}: payload shorter than manifest entry {name!r}")
-        arr = np.frombuffer(blob[off:off + nbytes], dtype=_DTYPES[dtype])
-        out[name] = arr.reshape(shape).astype(dtype, copy=True)
+    return entries
+
+
+def load_tensors(path: str, into: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Read an archive back into {name: ndarray} in manifest order.
+
+    With `into`, a {name: array} of destinations, the archive must hold
+    exactly those names, checked before any payload is read (ConfigError
+    otherwise). An entry whose dtype and shape match its destination is
+    read straight into that array, which is returned in its place; any
+    other entry is read into a new array.
+    """
+    with open(path, "rb") as fh:
+        entries = _read_manifest(fh, path)
+        if into is not None and set(into) != set(entries):
+            missing = sorted(set(into) - set(entries))
+            extra = sorted(set(entries) - set(into))
+            raise ConfigError(f"{path}: archive/destination tensor mismatch (missing {missing[:3]}, extra {extra[:3]})")
+        start = fh.tell()
+        out: dict[str, np.ndarray] = {}
+        for name, (dtype, shape, off, nbytes) in entries.items():
+            arr = None if into is None else into[name]
+            if arr is None or arr.dtype != np.dtype(_DTYPES[dtype]) or arr.shape != shape \
+                    or not (arr.flags.c_contiguous and arr.flags.writeable):
+                arr = np.empty(shape, dtype=_DTYPES[dtype])
+            fh.seek(start + off)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise FormatError(f"{path}: payload shorter than manifest entry {name!r}")
+            out[name] = arr if arr.dtype.isnative else arr.astype(dtype)
     return out

@@ -201,6 +201,30 @@ def _check_deterministic_build() -> tuple[bool, str]:
     return ok, "two builds are bit-identical" if ok else "forward passes differ"
 
 
+def _check_checkpoint_load() -> tuple[bool, str]:
+    from .config import BACKBONES, NONCAUSAL_ONLY, RunConfig
+    from .model import save_model
+    from .tensor import no_grad
+
+    x = np.random.default_rng(12).uniform(0, 1, (8, 257)).astype(np.float32)
+    for backbone in BACKBONES:
+        rc = RunConfig(
+            backbone=backbone, blocks=1, causal=backbone not in NONCAUSAL_ONLY,
+            d_model=16, d_ff=32, heads=2, d_state=4, conv_kernel=3, seed=13,
+        )
+        built = build_model(rc.model_config(), seed=rc.seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(tmp, built, rc)
+            loaded, _ = load_model(tmp)
+        for (name, p1), (_, p2) in zip(built.named_parameters(), loaded.named_parameters()):
+            if p1.data.tobytes() != p2.data.tobytes():
+                return False, f"{backbone}: parameter {name} differs after save and load"
+        with no_grad():
+            if built(x).data.tobytes() != loaded(x).data.tobytes():
+                return False, f"{backbone}: the loaded model's forward differs from the built one's"
+    return True, f"{len(BACKBONES)} backbones load back with identical bits and forward outputs"
+
+
 def _check_negative_control() -> tuple[bool, str]:
     """Feed the gradient checker an op whose backward is deliberately wrong.
     The checker must flag it; this check is expected to FAIL, proving the
@@ -229,6 +253,7 @@ _CHECKS = [
     ("intelligibility-self-score", _check_intelligibility_scorer),
     ("archive-roundtrip-bit-exact", _check_archive_roundtrip),
     ("deterministic-build", _check_deterministic_build),
+    ("checkpoint-load-matches-build", _check_checkpoint_load),
 ]
 
 

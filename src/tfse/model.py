@@ -49,7 +49,9 @@ def _make_block(cfg: ModelConfig, rng, dtype):
 class EnhancementModel(Module):
     """Backbone stack between the shared input/output projections."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None, dtype=np.float32):
+        """rng=None builds the skeleton a checkpoint load fills: parameters
+        allocated, no random draw."""
         cfg.validate()
         self.cfg = cfg
         self.input_norm = LayerNorm(N_BINS, dtype)
@@ -115,17 +117,20 @@ def save_model(ckpt_dir: str, model: EnhancementModel, run_cfg: RunConfig) -> No
 
 
 def load_model(ckpt_dir: str, dtype=np.float32) -> tuple[EnhancementModel, RunConfig]:
-    """Rebuild a model from a checkpoint directory and load its weights."""
+    """Rebuild a model from a checkpoint directory and load its weights.
+
+    The model is built as a skeleton, its parameters allocated but never
+    drawn, and each payload is read straight into its parameter; a
+    checkpoint stored in another dtype is read, then cast.
+    """
     run_cfg = read_config(os.path.join(ckpt_dir, CONFIG_FILE))
-    model = build_model(run_cfg.model_config(), seed=run_cfg.seed, dtype=dtype)
-    stored = load_tensors(os.path.join(ckpt_dir, MODEL_ARCHIVE))
-    names = dict(model.named_parameters())
-    if set(stored) != set(names):
-        missing = set(names) - set(stored)
-        extra = set(stored) - set(names)
-        raise ConfigError(f"checkpoint/model parameter mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
-    for name, param in names.items():
+    model = EnhancementModel(run_cfg.model_config(), None, dtype)
+    params = dict(model.named_parameters())
+    stored = load_tensors(os.path.join(ckpt_dir, MODEL_ARCHIVE), {k: p.data for k, p in params.items()})
+    for name, param in params.items():
         arr = stored[name]
+        if arr is param.data:
+            continue
         if arr.shape != param.data.shape:
             raise DimensionError(f"{name}: checkpoint shape {arr.shape} != model shape {param.data.shape}")
         param.data = arr.astype(dtype)

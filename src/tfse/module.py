@@ -5,7 +5,8 @@ otherwise): weights are uniform on [-1/sqrt(fan_in), 1/sqrt(fan_in)] drawn
 in float64 from the supplied generator and cast to the build dtype, biases
 and norm offsets start at zero, norm gains at one. Parameters are created
 in attribute-definition order, so a given seed always yields bit-identical
-models.
+models. Built with rng=None, a layer allocates its weights without drawing
+them, for a caller that fills every parameter itself (a checkpoint load).
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class Module:
         return sum(p.size for p in self.parameters())
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
+def _uniform(rng: np.random.Generator | None, shape, fan_in: int, dtype) -> Tensor:
+    if rng is None:
+        return Tensor(np.empty(shape, dtype=dtype), requires_grad=True)
     bound = 1.0 / np.sqrt(float(fan_in))
     w = rng.uniform(-bound, bound, size=shape)
     return Tensor(w.astype(dtype), requires_grad=True)

@@ -165,8 +165,9 @@ class MambaCore(Module):
         self.conv = DepthwiseConv1d(d_inner, d_conv, rng, dtype)
         self.x_proj = Linear(d_inner, dt_rank + 2 * d_state, rng, dtype, bias=False)
         self.dt_proj = Linear(dt_rank, d_inner, rng, dtype)
-        dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_inner))
-        self.dt_proj.b.data[:] = (dt + np.log(-np.expm1(-dt))).astype(dtype)
+        if rng is not None:
+            dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_inner))
+            self.dt_proj.b.data[:] = (dt + np.log(-np.expm1(-dt))).astype(dtype)
         a_init = np.tile(np.arange(1, d_state + 1, dtype=np.float64), (d_inner, 1))
         self.A_log = Tensor(np.log(a_init).astype(dtype), requires_grad=True)
         self.D = Tensor(np.ones(d_inner, dtype=dtype), requires_grad=True)

@@ -14,6 +14,8 @@ cleared at the start of each backward pass.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,6 +23,37 @@ import numpy as np
 from .errors import DimensionError, GraphError
 
 DEFAULT_DTYPE = np.float32
+
+
+def pin_malloc_thresholds() -> None:
+    """Keep freed op buffers below 32 MB in glibc's heap.
+
+    By default glibc serves a large allocation by mmap and unmaps it on
+    free until a free of that size raises its dynamic threshold, so whether
+    an op's per-call temporaries (scan histories, einsum outputs, gradient
+    buffers) are faulted in afresh on every call depends on what the
+    process freed before. Fixed thresholds make it the same for every
+    process. Nothing is done off glibc, or when the user has set either
+    threshold through glibc's own environment variables.
+    """
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ:
+        return
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt = libc.mallopt
+        libc.gnu_get_libc_version  # present in glibc only
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3) at the values glibc's
+    # dynamic threshold reaches after one 32 MB free; 32 MB is also the
+    # largest mmap threshold it accepts on 64-bit
+    mallopt(-1, 64 << 20)
+    mallopt(-3, 32 << 20)
+
+
+pin_malloc_thresholds()
 
 _grad_enabled = True
 

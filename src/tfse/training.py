@@ -262,7 +262,7 @@ def load_checkpoint(ckpt_dir: str, dtype=np.float32):
             kind, _, name = key.partition(".")
             if kind not in ("m", "v") or not name:
                 raise FormatError(f"{opt_path}: {key!r} is not an m.<param> or v.<param> moment")
-            (opt.m if kind == "m" else opt.v)[name] = arr.astype(dtype)
+            (opt.m if kind == "m" else opt.v)[name] = arr.astype(dtype, copy=False)
     state_path = os.path.join(ckpt_dir, STATE_FILE)
     state = _read_state(state_path)
     opt.t = state["adam_t"]

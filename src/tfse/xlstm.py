@@ -25,7 +25,11 @@ Within a chunk, with b the cumulative sum of the forget pre-activations and
 log-weights b_t - b_j + i_j of frames j <= t and b_t + m of the carried
 state; their max is the cell's m_t, so the readout is three matrix products
 (Q K^T * W) V, Q C^T and Q n, each stabilized by the same exp(-m_t). The
-state at the chunk's end is carried on. The backward runs over the chunks
+state at the chunk's end is carried on. A weight below tiny / eps of the
+dtype is flushed to exactly 0 before the exp: when the forget
+pre-activations drift positive, m climbs (into the hundreds on 40 s of audio)
+and a chunk's small weights would otherwise turn subnormal, which slows
+every product they enter. The backward runs over the chunks
 in reverse, carrying dC and dn and recomputing each chunk's weights from its
 stored starting state; m is a constant there, since h does not depend on it.
 Causal prefixes are bit-exact: the chunk grid is fixed, and frames after t
@@ -95,7 +99,9 @@ def _chunk_weights(i_raw, f_raw, m_prev):
 
     Returns W [H, K, K] (W[t, j] = exp(b_t - b_j + i_j - m_t) for j <= t,
     else 0), a [H, K] (the carried state's weight exp(b_t + m_prev - m_t))
-    and m [H, K], the cell's stabilizer at each frame.
+    and m [H, K], the cell's stabilizer at each frame. A weight below
+    tiny / eps of the dtype is set to exactly 0: next to the weight 1 that
+    every row holds it is below rounding for terms of comparable size.
     """
     K = i_raw.shape[-1]
     b = np.cumsum(f_raw, axis=-1)
@@ -103,7 +109,13 @@ def _chunk_weights(i_raw, f_raw, m_prev):
     log_w += np.triu(np.full((K, K), -np.inf, dtype=i_raw.dtype), 1)
     carry = b + m_prev[:, None]
     m = np.maximum(carry, log_w.max(axis=-1))
-    return np.exp(log_w - m[:, :, None]), np.exp(carry - m), m
+    log_w -= m[:, :, None]
+    carry -= m
+    fi = np.finfo(i_raw.dtype)
+    floor = np.log(fi.tiny / fi.eps)
+    log_w[log_w < floor] = -np.inf
+    carry[carry < floor] = -np.inf
+    return np.exp(log_w, out=log_w), np.exp(carry, out=carry), m
 
 
 def _chunk_readout(q, k, W, a, m, C, n):

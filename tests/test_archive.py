@@ -1,6 +1,7 @@
 """Tensor archive format: bit-exact round trips and strict failure modes."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tfse.archive import load_tensors, save_tensors
-from tfse.errors import FormatError, TfseError
+from tfse.errors import ConfigError, FormatError, TfseError
 
 
 @pytest.fixture
@@ -57,6 +58,73 @@ class TestRoundTrip:
         path = str(tmp_path / "t.tensors")
         save_tensors(path, sample)
         assert os.listdir(tmp_path) == ["t.tensors"]
+
+
+def copying_writer(path, tensors):
+    """The writer as it was before it wrote each array's own buffer: one
+    tobytes() copy per payload. The reference for the file's bytes."""
+    entries, payloads, offset = [], [], 0
+    for name, t in tensors.items():
+        arr = np.asarray(t)
+        buf = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
+        shape = "x".join(str(n) for n in arr.shape) if arr.shape else "scalar"
+        entries.append(f"{name} {arr.dtype} {shape} {offset} {len(buf)}")
+        payloads.append(buf)
+        offset += len(buf)
+    header = ["tensor-archive 1", f"tensors {len(entries)}", *entries, "payload"]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
+        for buf in payloads:
+            fh.write(buf)
+
+
+class TestCopyFreeWriter:
+    def test_bytes_equal_the_copying_writer(self, tmp_path, rng):
+        tensors = {
+            "f32": rng.normal(size=(3, 5)).astype(np.float32),
+            "f64": rng.normal(size=(2, 2, 3)).astype(np.float64),
+            "scalar32": np.float32(-0.75),
+            "scalar64": np.array(np.pi),
+            "empty": np.zeros((0, 4), np.float32),
+            "strided": rng.normal(size=(4, 6)).astype(np.float32).T,  # not contiguous
+        }
+        new, old = str(tmp_path / "new.tensors"), str(tmp_path / "old.tensors")
+        save_tensors(new, tensors)
+        copying_writer(old, tensors)
+        assert open(new, "rb").read() == open(old, "rb").read()
+
+
+class TestLoadInto:
+    def test_matching_destinations_are_filled_and_returned(self, tmp_path, sample):
+        path = str(tmp_path / "t.tensors")
+        save_tensors(path, sample)
+        into = {k: np.empty_like(np.asarray(v)) for k, v in sample.items()}
+        back = load_tensors(path, into)
+        for k, v in sample.items():
+            assert back[k] is into[k]
+            assert np.array_equal(into[k], np.asarray(v))
+
+    @pytest.mark.parametrize("change", ["dtype", "shape"])
+    def test_mismatched_destination_gets_a_new_array(self, tmp_path, sample, change):
+        path = str(tmp_path / "t.tensors")
+        save_tensors(path, sample)
+        into = {k: np.empty_like(np.asarray(v)) for k, v in sample.items()}
+        want = np.asarray(sample["layer.w"])
+        dest = into["layer.w"] = want.astype(np.float64) if change == "dtype" else np.empty((4, 3), np.float32)
+        before = dest.copy()
+        back = load_tensors(path, into)
+        assert back["layer.w"] is not dest
+        assert back["layer.w"].dtype == want.dtype and np.array_equal(back["layer.w"], want)
+        assert np.array_equal(dest, before)
+        assert back["layer.b"] is into["layer.b"]
+
+    def test_name_mismatch_raises_before_any_payload_is_read(self, tmp_path, sample):
+        path = str(tmp_path / "t.tensors")
+        save_tensors(path, sample)
+        into = {k: np.full_like(np.asarray(v), 7.0) for k, v in sample.items() if k != "gain"}
+        with pytest.raises(ConfigError, match="mismatch"):
+            load_tensors(path, into)
+        assert all(np.all(a == 7.0) for a in into.values())
 
 
 class TestFormatErrors:
@@ -130,6 +198,23 @@ class TestFormatErrors:
         path = str(tmp_path / "e.tensors")
         save_tensors(path, {})
         assert load_tensors(path) == {}
+
+
+class TestBogusExtent:
+    def test_huge_declared_tensor_in_a_short_file_allocates_nothing(self, tmp_path):
+        n = 2 ** 40
+        blob = f"tensor-archive 1\ntensors 1\nx float32 {n} 0 {4 * n}\npayload\n".encode() + b"\x00" * 64
+        path = str(tmp_path / "huge.tensors")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="shorter"):
+                load_tensors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestFuzz:

@@ -2,6 +2,8 @@
 causality semantics at the model level, checkpoint round trips, and the
 waveform pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,61 @@ class TestCheckpointRoundTrip:
         save_tensors(path, tensors)
         with pytest.raises(DimensionError, match="shape"):
             load_model(str(tmp_path))
+
+
+def preset_config(name: str) -> RunConfig:
+    return read_config(resolve_config_arg(name))
+
+
+class TestSkeletonLoad:
+    """load_model builds parameters without drawing them and reads every
+    payload straight into its parameter."""
+
+    @pytest.mark.parametrize("preset", ["mamba-7", "xlstm-7", "conformer-4"])
+    def test_full_size_round_trip_is_bit_exact(self, tmp_path, preset):
+        rc = preset_config(preset)
+        model = build_model(rc.model_config(), seed=rc.seed)
+        save_model(str(tmp_path), model, rc)
+        back, _ = load_model(str(tmp_path))
+        pairs = list(zip(model.named_parameters(), back.named_parameters()))
+        assert len(pairs) == len(list(model.parameters()))
+        for (n, pa), (nb, pb) in pairs:
+            assert n == nb and pa.data.dtype == pb.data.dtype
+            assert pa.data.tobytes() == pb.data.tobytes(), n
+        if preset == "mamba-7":  # the delta bias has its own init draw
+            params = dict(back.named_parameters())
+            assert np.any(params["blocks.0.core.dt_proj.b"].data != 0.0)
+
+    def test_allocation_peak_is_about_the_parameter_bytes(self, tmp_path):
+        rc = preset_config("conformer-4")
+        save_model(str(tmp_path), build_model(rc.model_config(), seed=rc.seed), rc)
+        tracemalloc.start()
+        try:
+            model, _ = load_model(str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.data.nbytes for p in model.parameters())
+        assert peak <= 1.1 * param_bytes
+
+    def test_makes_no_rng_draw(self, tmp_path, monkeypatch):
+        rc = RunConfig(backbone="mamba", blocks=1, causal=True, **TINY)
+        save_model(str(tmp_path), build_model(rc.model_config(), seed=5), rc)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr("tfse.model.np.random.default_rng", no_rng)
+        load_model(str(tmp_path))
+
+    def test_float64_load_casts_the_stored_float32(self, tmp_path):
+        rc = RunConfig(backbone="xlstm", blocks=1, causal=True, **TINY)
+        model = build_model(rc.model_config(), seed=5)
+        save_model(str(tmp_path), model, rc)
+        back, _ = load_model(str(tmp_path), dtype=np.float64)
+        for (n, pa), (_, pb) in zip(model.named_parameters(), back.named_parameters()):
+            assert pb.data.dtype == np.float64
+            assert np.array_equal(pb.data, pa.data.astype(np.float64)), n
 
 
 class TestWaveformPipeline:

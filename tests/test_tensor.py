@@ -359,3 +359,51 @@ class TestPropertyBased:
         y = T.sigmoid(x).data
         assert np.all(y >= 0.0) and np.all(y <= 1.0)
         assert np.all(np.isfinite(y))
+
+
+class FakeLibc:
+    """Stands in for ctypes.CDLL(None) and records mallopt calls."""
+
+    def __init__(self, calls):
+        self.calls = calls
+        self.gnu_get_libc_version = lambda: b"2.99"
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+class TestMallocPin:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for key in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+            monkeypatch.delenv(key, raising=False)
+        monkeypatch.setattr("ctypes.CDLL", lambda name: FakeLibc(calls))
+        return calls
+
+    def test_sets_both_thresholds(self, calls):
+        T.pin_malloc_thresholds()
+        assert sorted(calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_no_libc_is_a_no_op(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr("ctypes.CDLL", no_libc)
+        T.pin_malloc_thresholds()
+
+    def test_not_glibc_is_a_no_op(self, calls, monkeypatch):
+        libc = FakeLibc(calls)
+        del libc.gnu_get_libc_version
+        monkeypatch.setattr("ctypes.CDLL", lambda name: libc)
+        T.pin_malloc_thresholds()
+        assert calls == []
+
+    @pytest.mark.parametrize("key", ["MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"])
+    def test_user_setting_wins(self, calls, monkeypatch, key):
+        monkeypatch.setenv(key, "1000000")
+        T.pin_malloc_thresholds()
+        assert calls == []

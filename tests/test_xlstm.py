@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tfse import tensor as T
+from tfse import xlstm
 from tfse.xlstm import (
     CHUNK,
     CBiXLSTMBlock,
@@ -199,6 +200,39 @@ class TestChunkedScan:
             h2 = mlstm_scan(*map(Tensor, changed)).data
         np.testing.assert_array_equal(h1[:, :cut], h2[:, :cut])
         assert np.abs(h1[:, cut:] - h2[:, cut:]).max() > 0.0
+
+
+class TestForgetDrift:
+    """Forget pre-activations that drift positive make the carried
+    stabilizer m climb by about 0.15 per frame, so after a few chunks most
+    in-chunk weights are far below the weight 1 of each row. Those weights
+    must be exactly 0, never subnormal."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (F64, 1e-10)], ids=["f32", "f64"])
+    def test_no_subnormal_weights_and_matches_cell_chain(self, rng, monkeypatch, dtype, tol):
+        H, dh, L = 2, 4, 12 * CHUNK
+        # q and k positive, so n . q never cancels and a float32 difference
+        # measures the scan, not the conditioning of the normalizer
+        q, k = (np.abs(rng.normal(size=(H, L, dh))) for _ in range(2))
+        v = rng.normal(size=(H, L, dh))
+        ig = rng.uniform(-5, 5, size=(H, L))
+        fg = rng.normal(0.15, 1.0, size=(H, L))
+        args = [Tensor(a.astype(dtype)) for a in (q, k, v, ig, fg)]
+        tiny = np.finfo(dtype).tiny
+        subnormal = []
+        chunk_weights = xlstm._chunk_weights
+
+        def recorded(*a):
+            W, carry, m = chunk_weights(*a)
+            subnormal.append(int(np.sum((W > 0) & (W < tiny)) + np.sum((carry > 0) & (carry < tiny))))
+            return W, carry, m
+
+        monkeypatch.setattr(xlstm, "_chunk_weights", recorded)
+        with no_grad():
+            got = mlstm_scan(*args).data
+            want = cell_scan(*args).data
+        assert subnormal == [0] * 12
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
 class TestMLSTMCore:
