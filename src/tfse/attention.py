@@ -15,20 +15,13 @@ import numpy as np
 from . import pe as PE
 from . import tensor as T
 from .errors import ConfigError
-from .module import Conv1d, DepthwiseConv1d, LayerNorm, Linear, Module
+from .module import DepthwiseConv1d, LayerNorm, Linear, Module
 from .tensor import Tensor
-
-_MASK_CACHE: dict[tuple[int, str], np.ndarray] = {}
 
 
 def causal_mask(length: int, dtype=np.float32) -> Tensor:
     """[L, L] additive mask: 0 on and below the diagonal, -inf above."""
-    key = (length, np.dtype(dtype).name)
-    if key not in _MASK_CACHE:
-        m = np.zeros((length, length), dtype=dtype)
-        m[np.triu_indices(length, k=1)] = -np.inf
-        _MASK_CACHE[key] = m
-    return Tensor(_MASK_CACHE[key])
+    return Tensor(np.triu(np.full((length, length), -np.inf, dtype=dtype), 1))
 
 
 class MultiHeadSelfAttention(Module):
@@ -90,10 +83,10 @@ class ConformerBlock(Module):
         self.attn_norm = LayerNorm(d_model, dtype)
         self.attn = MultiHeadSelfAttention(d_model, heads, rng, dtype)
         self.conv_norm = LayerNorm(d_model, dtype)
-        self.conv_in = Conv1d(d_model, 2 * d_model, 1, rng, dtype)  # GLU halves it back
+        self.conv_in = Linear(d_model, 2 * d_model, rng, dtype)  # GLU halves it back
         self.conv_dw = DepthwiseConv1d(d_model, conv_kernel, rng, dtype)
         self.conv_mid_norm = LayerNorm(d_model, dtype)
-        self.conv_out = Conv1d(d_model, d_model, 1, rng, dtype)
+        self.conv_out = Linear(d_model, d_model, rng, dtype)
         self.ffn2_norm = LayerNorm(d_model, dtype)
         self.ffn2_in = Linear(d_model, d_ff, rng, dtype)
         self.ffn2_out = Linear(d_ff, d_model, rng, dtype)

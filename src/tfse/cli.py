@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import math
 import os
 import shlex
 import sys
@@ -347,7 +348,6 @@ def _cmd_bench(args) -> int:
         model = build_model(rc.model_config(), seed=rc.seed)
     else:
         model, rc = load_model(args.checkpoint)
-    lengths = sorted(float(s) for s in args.lengths.split(","))
 
     lock = open(BENCH_LOCK, "a", encoding="utf-8")
     try:
@@ -362,7 +362,7 @@ def _cmd_bench(args) -> int:
         report = bench_model(
             model,
             rc.model_config().name,
-            lengths,
+            args.lengths,
             batch=args.batch,
             runs=args.runs,
             warmup=args.warmup,
@@ -414,6 +414,31 @@ def _cmd_score(args) -> int:
 # ---- parser ------------------------------------------------------------------
 
 
+def _number(convert, ok, need: str):
+    """An argparse type: text that `convert` parses to a value `ok` accepts."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _number(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative = _number(int, lambda v: v >= 0, "an integer >= 0")
+_seconds = _number(float, lambda v: math.isfinite(v) and v > 0, "positive finite seconds")
+
+
+def _seconds_list(text: str) -> list[float]:
+    """An argparse type: comma-separated positive finite seconds, sorted."""
+    return sorted(_seconds(p) for p in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tfse",
@@ -427,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", required=True, help="config file path or shipped config name")
     t.add_argument("--out", required=True, help="output directory for checkpoints and loss log")
     t.add_argument("--resume", action="store_true", help="continue from the latest checkpoint in --out")
-    t.add_argument("--log-every", type=int, default=50, help="print progress every N steps")
+    t.add_argument("--log-every", type=_positive, default=50, help="print progress every N steps")
     t.set_defaults(fn=_cmd_train)
 
     e = sub.add_parser("enhance", help="denoise WAV files with a trained checkpoint")
@@ -444,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="measure real-time factor and training throughput")
     b.add_argument("--config", help="config file path or shipped config name")
     b.add_argument("--checkpoint", help="checkpoint directory (alternative to --config)")
-    b.add_argument("--lengths", default="1,2,4", help="comma-separated clip lengths in seconds")
-    b.add_argument("--batch", type=int, default=4)
-    b.add_argument("--runs", type=int, default=20)
-    b.add_argument("--warmup", type=int, default=3)
+    b.add_argument("--lengths", type=_seconds_list, default="1,2,4", help="comma-separated clip lengths in seconds")
+    b.add_argument("--batch", type=_positive, default=4)
+    b.add_argument("--runs", type=_positive, default=20)
+    b.add_argument("--warmup", type=_non_negative, default=3)
     b.add_argument("--include-stft", action="store_true", help="time the full waveform path")
-    b.add_argument("--train-steps", type=int, default=0, help="also time N optimizer steps")
+    b.add_argument("--train-steps", type=_non_negative, default=0, help="also time N optimizer steps")
     b.add_argument("--out", help="write results CSV here")
     b.add_argument("--assert-trends", action="store_true", help="fail if cost scaling looks wrong")
     b.set_defaults(fn=_cmd_bench)
@@ -464,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth-corpus", help="generate a small synthetic training corpus")
     s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--n-speech", type=int, default=12)
-    s.add_argument("--n-noise", type=int, default=6)
-    s.add_argument("--dur", type=float, default=2.0, help="clip duration in seconds")
+    s.add_argument("--n-speech", type=_positive, default=12)
+    s.add_argument("--n-noise", type=_positive, default=6)
+    s.add_argument("--dur", type=_seconds, default=2.0, help="clip duration in seconds")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_synth_corpus)
 

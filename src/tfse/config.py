@@ -1,6 +1,6 @@
 """Flat key=value run configuration.
 
-One file drives model construction, training, and benchmarking. Lines are
+One file drives model construction and training. Lines are
 `key = value`; blank lines and `#` comments are ignored; unknown or
 duplicate keys are rejected by name. Writing a config emits every key, so
 an echoed file reproduces the run exactly.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from importlib import resources
 
 from .errors import ConfigError, FormatError
@@ -115,53 +115,22 @@ class TrainConfig:
         return self
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Union of all config keys; sections are views onto it."""
+def _view(cls):
+    """A RunConfig method that returns the validated `cls` built from its keys."""
+    return lambda self: cls(**{f.name: getattr(self, f.name) for f in fields(cls)}).validate()
 
-    backbone: str = "transformer"
-    blocks: int = 4
-    causal: bool = True
-    pe: str = "none"
-    d_model: int = 256
-    d_ff: int = 1024
-    heads: int = 0
-    d_state: int = 16
-    expand: int = 2
-    d_conv: int = 4
-    proj_factor: float = 2.0
-    conv_kernel: int = 31
-    seed: int = 0
-    batch_size: int = 10
-    epochs: int = 150
-    max_steps: int = 0
-    snr_lo: int = -10
-    snr_hi: int = 20
-    step_w: int = 40000
-    loss: str = "mask-mse"
-    corpus: str = ""
-    checkpoint_every: int = 1
-    bench_runs: int = 20
-    bench_warmup: int = 3
-    bench_batch: int = 4
-    bench_lengths: str = "10,20,40"
 
-    def model_config(self) -> ModelConfig:
-        names = {f.name for f in fields(ModelConfig)}
-        return ModelConfig(**{k: getattr(self, k) for k in names}).validate()
-
-    def train_config(self) -> TrainConfig:
-        names = {f.name for f in fields(TrainConfig)}
-        return TrainConfig(**{k: getattr(self, k) for k in names}).validate()
-
-    def lengths(self) -> list[float]:
-        try:
-            vals = [float(p) for p in self.bench_lengths.split(",") if p.strip()]
-        except ValueError:
-            raise ConfigError(f"bench_lengths: cannot parse {self.bench_lengths!r}") from None
-        if not vals or any(v <= 0 for v in vals):
-            raise ConfigError(f"bench_lengths: need positive seconds, got {self.bench_lengths!r}")
-        return vals
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, f.default) for cls in (ModelConfig, TrainConfig) for f in fields(cls)],
+    namespace={
+        "__doc__": "Union of all config keys, ModelConfig's then TrainConfig's; sections are views onto it.",
+        "__module__": __name__,
+        "model_config": _view(ModelConfig),
+        "train_config": _view(TrainConfig),
+    },
+    frozen=True,
+)
 
 
 def _parse_value(key: str, raw: str, target_type):

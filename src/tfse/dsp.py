@@ -71,10 +71,6 @@ class Spectrogram:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
-    @property
-    def phase(self) -> np.ndarray:
-        return np.angle(self.values)
-
 
 @dataclass
 class Mask:

@@ -2,8 +2,9 @@
 
 Every model maps a magnitude spectrogram [L, 257] (or a batch of them,
 [B, L, 257]) to a mask in (0, 1) of the same shape: frame-wise layer norm
--> ReLU -> 1-D conv into d_model, an optional additive sinusoidal table,
-N backbone blocks, then a 1-D conv back to 257 bins under a sigmoid.
+-> ReLU -> linear projection into d_model, an optional additive sinusoidal
+table, N backbone blocks, then a linear projection back to 257 bins under a
+sigmoid.
 Rotary embeddings, when configured, act inside every attention head
 instead of on the embedding.
 """
@@ -21,7 +22,7 @@ from .archive import load_tensors, save_tensors
 from .attention import ConformerBlock, TransformerBlock
 from .config import ATTENTION_BACKBONES, N_BINS, ModelConfig, RunConfig, read_config, write_config
 from .errors import ConfigError, DimensionError
-from .module import Conv1d, LayerNorm, Module
+from .module import LayerNorm, Linear, Module
 from .ssm import BiMambaBlock, MambaBlock
 from .tensor import Tensor
 from .xlstm import CBiXLSTMBlock, MLSTMBlock, PBiXLSTMBlock
@@ -55,9 +56,9 @@ class EnhancementModel(Module):
         cfg.validate()
         self.cfg = cfg
         self.input_norm = LayerNorm(N_BINS, dtype)
-        self.input_proj = Conv1d(N_BINS, cfg.d_model, 1, rng, dtype)
+        self.input_proj = Linear(N_BINS, cfg.d_model, rng, dtype)
         self.blocks = [_make_block(cfg, rng, dtype) for _ in range(cfg.blocks)]
-        self.output_proj = Conv1d(cfg.d_model, N_BINS, 1, rng, dtype)
+        self.output_proj = Linear(cfg.d_model, N_BINS, rng, dtype)
 
     @property
     def dtype(self):

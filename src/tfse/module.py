@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -76,17 +77,6 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias, self.eps)
 
 
-class Conv1d(Module):
-    """Length-preserving 1-D convolution, kernel [k, C_in, C_out]."""
-
-    def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator, dtype, bias: bool = True):
-        self.kernel = _uniform(rng, (k, c_in, c_out), k * c_in, dtype)
-        self.b = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True) if bias else None
-
-    def __call__(self, x: Tensor, causal: bool = False) -> Tensor:
-        return T.conv1d(x, self.kernel, self.b, causal=causal)
-
-
 class DepthwiseConv1d(Module):
     """Per-channel 1-D convolution, kernel [k, C]."""
 
@@ -107,7 +97,7 @@ class BlockDiagonal(Module):
 
     def __init__(self, d: int, block_size: int, rng: np.random.Generator, dtype):
         if d % block_size:
-            raise ValueError(f"feature dim {d} not divisible by block size {block_size}")
+            raise ConfigError(f"feature dim {d} not divisible by block size {block_size}")
         self.block_size = block_size
         self.n_blocks = d // block_size
         self.w = _uniform(rng, (self.n_blocks, block_size, block_size), block_size, dtype)

@@ -140,9 +140,6 @@ def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
     return T._make(y.swapaxes(0, 1).reshape(u.shape), inputs, grad_fn, "selective_scan")
 
 
-_SCANS = {"seq": selective_scan_seq, "par": selective_scan_par}
-
-
 class MambaCore(Module):
     """Pre-normed selective-SSM mixer (no outer residual).
 
@@ -173,7 +170,7 @@ class MambaCore(Module):
         self.D = Tensor(np.ones(d_inner, dtype=dtype), requires_grad=True)
         self.out_proj = Linear(d_inner, d_model, rng, dtype, bias=False)
 
-    def __call__(self, x: Tensor, scan: str = "par") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         di, ds, dr = self.d_inner, self.d_state, self.dt_rank
         h = self.in_proj(self.norm(x))  # [..., L, 2*d_inner]
         u = T.silu(self.conv(h[..., :di], causal=True))
@@ -183,7 +180,7 @@ class MambaCore(Module):
         B = dbc[..., dr:dr + ds]
         C = dbc[..., dr + ds:]
         A = T.neg(T.exp(self.A_log))
-        y = _SCANS[scan](u, delta, A, B, C, self.D)
+        y = selective_scan_par(u, delta, A, B, C, self.D)
         y = T.mul(y, T.silu(z))
         return self.out_proj(y)
 
@@ -194,8 +191,8 @@ class MambaBlock(Module):
     def __init__(self, d_model: int, rng, dtype, d_state: int = 16, expand: int = 2, d_conv: int = 4):
         self.core = MambaCore(d_model, rng, dtype, d_state, expand, d_conv)
 
-    def __call__(self, x: Tensor, scan: str = "par") -> Tensor:
-        return T.add(x, self.core(x, scan))
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.add(x, self.core(x))
 
 
 class BiMambaBlock(Module):
@@ -210,6 +207,6 @@ class BiMambaBlock(Module):
         self.fwd = MambaCore(d_model, rng, dtype, d_state, expand, d_conv)
         self.bwd = MambaCore(d_model, rng, dtype, d_state, expand, d_conv)
 
-    def __call__(self, x: Tensor, scan: str = "par") -> Tensor:
-        back = self.bwd(x[..., ::-1, :], scan)[..., ::-1, :]  # frames, not the batch
-        return T.add(x, T.add(self.fwd(x, scan), back))
+    def __call__(self, x: Tensor) -> Tensor:
+        back = self.bwd(x[..., ::-1, :])[..., ::-1, :]  # frames, not the batch
+        return T.add(x, T.add(self.fwd(x), back))

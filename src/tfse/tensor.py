@@ -4,7 +4,7 @@ Values are numpy arrays (float32 by default, float64 on request); every
 operation records a backward closure so scalar losses differentiate through
 arbitrary compositions. The op set is exactly what the enhancement models
 need: elementwise arithmetic and activations, batched matmul, shape ops,
-reductions, fused softmax, layer norm, and 1-D convolutions.
+reductions, fused softmax, layer norm, and depthwise 1-D convolutions.
 
 Gradient accumulation is additive: repeated backward() calls keep adding to
 leaf .grad buffers until zero_grad(). Intermediate nodes have their grads
@@ -399,31 +399,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(out, (a,), grad_fn, "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), grad_fn, "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def grad_fn(g):
-        a._accumulate(g * 0.5 / out)
-
-    return _make(out, (a,), grad_fn, "sqrt")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def grad_fn(g):
-        a._accumulate(g * (1.0 - out * out))
-
-    return _make(out, (a,), grad_fn, "tanh")
-
-
 def _sigmoid_nd(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     # Two-branch form: never exponentiates a positive number. With
     # e = exp(-|x|) (passed in by callers that already have it) it is
@@ -474,25 +449,6 @@ def softplus(a: Tensor) -> Tensor:
         a._accumulate(g * _sigmoid_nd(x, e))
 
     return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softplus")
-
-
-_ACTIVATIONS = {
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "silu": silu,
-    "tanh": tanh,
-    "exp": exp,
-    "softplus": softplus,
-}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Apply a named activation; raises on unknown names."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise DimensionError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
 
 
 # ---- matmul and shape ops ---------------------------------------------------
@@ -650,13 +606,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, eps: float = 1e-5, groups: int = 1) -> Tensor:
+    """Normalize each of `groups` equal runs of consecutive features on the
+    last axis to zero mean / unit variance, then scale by gain and add bias."""
+    xg = x if groups == 1 else reshape(x, *x.shape[:-1], groups, x.shape[-1] // groups)
+    mu = mean(xg, axis=-1, keepdims=True)
+    xc = sub(xg, mu)
     var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = pow_const(add(var, eps), -0.5)
-    return add(mul(mul(xc, inv), gain), bias)
+    normed = mul(xc, pow_const(add(var, eps), -0.5))
+    if groups != 1:
+        normed = reshape(normed, x.shape)
+    out = mul(normed, gain)
+    return out if bias is None else add(out, bias)
 
 
 def _pad_frames(x: Tensor, k: int, causal: bool) -> Tensor:
@@ -666,41 +627,10 @@ def _pad_frames(x: Tensor, k: int, causal: bool) -> Tensor:
     return pad(x, ((0, 0),) * (x.ndim - 2) + ((lo, k - 1 - lo), (0, 0)))
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool = False) -> Tensor:
-    """Length-preserving 1-D convolution over frames.
-
-    Args:
-        x: [..., L, C_in] input frames (leading axes are batch axes).
-        kernel: [k, C_in, C_out] filter taps.
-        bias: optional [C_out].
-        causal: pad k-1 frames on the left only; otherwise pad symmetrically
-            ((k-1)//2 left, k//2 right).
-
-    Returns:
-        [..., L, C_out].
-    """
-    if x.ndim < 2 or kernel.ndim != 3:
-        raise DimensionError(f"conv1d expects x [..., L, C_in], kernel [k, C_in, C_out]; got {x.shape}, {kernel.shape}")
-    k, c_in, _ = kernel.shape
-    if x.shape[-1] != c_in:
-        raise DimensionError(f"conv1d channel mismatch: x has {x.shape[-1]}, kernel expects {c_in}")
-    L = x.shape[-2]
-    if k == 1:
-        out = matmul(x, getitem(kernel, 0))
-    else:
-        xp = _pad_frames(x, k, causal)
-        out = None
-        for j in range(k):
-            term = matmul(getitem(xp, (Ellipsis, slice(j, j + L), slice(None))), getitem(kernel, j))
-            out = term if out is None else add(out, term)
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
 def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool = False) -> Tensor:
-    """Per-channel 1-D convolution: kernel [k, C] filters channel c of
-    x [..., L, C] with its own k taps. Padding matches conv1d."""
+    """Per-channel, length-preserving 1-D convolution over frames: kernel
+    [k, C] filters channel c of x [..., L, C] with its own k taps. Causal
+    pads k-1 frames on the left only; otherwise (k-1)//2 left, k//2 right."""
     if x.ndim < 2 or kernel.ndim != 2:
         raise DimensionError(f"depthwise_conv1d expects x [..., L, C], kernel [k, C]; got {x.shape}, {kernel.shape}")
     k, c = kernel.shape
@@ -764,13 +694,3 @@ def grad_check_params(loss_fn, named_params, h: float = 1e-5) -> dict[str, float
         errs[name] = grad_check(lambda _t, fn=loss_fn: fn(), p, h)
     return errs
 
-
-# ---- small constructors -----------------------------------------------------
-
-
-def zeros(shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
@@ -218,7 +218,7 @@ class MLSTMCore(Module):
     def __init__(self, d_model: int, rng, dtype, heads: int = 4, proj_factor: float = 2.0):
         d_inner = int(round(proj_factor * d_model))
         if d_inner % heads:
-            raise ValueError(f"d_inner {d_inner} not divisible by {heads} heads")
+            raise ConfigError(f"d_inner {d_inner} not divisible by {heads} heads")
         self.heads = heads
         self.d_inner = d_inner
         self.d_head = d_inner // heads
@@ -233,15 +233,6 @@ class MLSTMCore(Module):
         self.skip = Tensor(np.ones(d_inner, dtype=dtype), requires_grad=True)
         self.out_gain = Tensor(np.ones(d_inner, dtype=dtype), requires_grad=True)
         self.down_proj = Linear(d_inner, d_model, rng, dtype, bias=False)
-
-    def _head_norm(self, h: Tensor) -> Tensor:
-        # zero-mean unit-variance per group of d_head consecutive features, then a per-feature gain
-        hh = T.reshape(h, *h.shape[:-1], self.heads, self.d_head)
-        mu = T.mean(hh, axis=-1, keepdims=True)
-        hc = T.sub(hh, mu)
-        var = T.mean(T.mul(hc, hc), axis=-1, keepdims=True)
-        normed = T.mul(hc, T.pow_const(T.add(var, 1e-5), -0.5))
-        return T.mul(T.reshape(normed, h.shape), self.out_gain)
 
     def __call__(self, x: Tensor) -> Tensor:
         """x [..., L, d_model] (leading axes are batch axes)."""
@@ -265,7 +256,7 @@ class MLSTMCore(Module):
         h = T.reshape(T.transpose(h, (0, 2, 3, 1)), *lead, L, di)
         if not np.all(np.isfinite(h.data)):
             raise NumericError("mlstm scan produced non-finite state")
-        h = self._head_norm(h)
+        h = T.layer_norm(h, self.out_gain, groups=H)  # per group of d_head consecutive features
         h = T.add(h, T.mul(self.skip, xc))
         h = T.mul(h, T.silu(z))
         return self.down_proj(h)

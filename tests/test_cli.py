@@ -166,6 +166,33 @@ class TestScore:
         assert capsys.readouterr().out.splitlines()[0] == "metric,0,5"
 
 
+BAD_NUMERIC_ARGS = {
+    "log-every-0": ["train", "--out", "{tmp}/run", "--log-every", "0"],
+    "lengths-not-a-number": ["bench", "--lengths", "1,zebra"],
+    "lengths-negative": ["bench", "--lengths=-1"],
+    "lengths-infinite": ["bench", "--lengths", "1,inf"],
+    "batch-0": ["bench", "--lengths", "0.5", "--runs", "1", "--batch", "0"],
+    "runs-0": ["bench", "--lengths", "0.5", "--runs", "0"],
+    "warmup-negative": ["bench", "--lengths", "0.5", "--runs", "1", "--warmup=-1"],
+    "train-steps-negative": ["bench", "--lengths", "0.5", "--runs", "1", "--train-steps=-2"],
+    "n-speech-0": ["synth-corpus", "--out", "{tmp}/c", "--n-speech", "0", "--dur", "0.5"],
+    "n-noise-0": ["synth-corpus", "--out", "{tmp}/c", "--n-noise", "0", "--dur", "0.5"],
+    "dur-0": ["synth-corpus", "--out", "{tmp}/c", "--n-speech", "1", "--n-noise", "1", "--dur", "0"],
+    "dur-negative": ["synth-corpus", "--out", "{tmp}/c", "--n-speech", "1", "--n-noise", "1", "--dur", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_ARGS.values(), ids=BAD_NUMERIC_ARGS.keys())
+def test_bad_numeric_argument_is_a_usage_error(argv, toy_cfg_path, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] in ("train", "bench"):
+        argv[1:1] = ["--config", toy_cfg_path]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
 class TestSynthCorpus:
     def test_generates_manifest_and_wavs(self, tmp_path, capsys):
         out = str(tmp_path / "corpus")

@@ -1,5 +1,8 @@
 """Config parsing, validation, and the shipped preset collection."""
 
+import dataclasses
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from tfse.config import (
     BACKBONES,
     ModelConfig,
     RunConfig,
+    TrainConfig,
     parse_config_text,
     read_config,
     resolve_config_arg,
@@ -47,6 +51,11 @@ class TestParsing:
     def test_bools_parse_case_insensitively(self):
         assert parse_config_text("causal=True\n").causal is True
         assert parse_config_text("causal=false\n").causal is False
+
+    def test_written_defaults_read_back(self, tmp_path):
+        path = str(tmp_path / "d.cfg")
+        write_config(path, RunConfig())
+        assert read_config(path) == RunConfig()
 
     def test_write_read_roundtrip(self, tmp_path):
         rc = RunConfig(backbone="bimamba", blocks=3, causal=False, seed=7, snr_lo=-3)
@@ -120,14 +129,16 @@ class TestRunConfigViews:
         assert rc.train_config().epochs == 9
         assert rc.train_config().seed == 3
 
-    def test_bench_lengths_parse(self):
-        assert RunConfig(bench_lengths="1, 2.5,10").lengths() == [1.0, 2.5, 10.0]
+    def test_fields_are_the_model_keys_then_the_train_keys(self):
+        names = [f.name for f in fields(RunConfig)]
+        assert names == [f.name for f in fields(ModelConfig)] + [f.name for f in fields(TrainConfig)]
 
-    def test_bench_lengths_reject_garbage(self):
-        with pytest.raises(ConfigError):
-            RunConfig(bench_lengths="1,zebra").lengths()
-        with pytest.raises(ConfigError):
-            RunConfig(bench_lengths="-3").lengths()
+    def test_replace_keeps_the_views(self):
+        rc = dataclasses.replace(RunConfig(), seed=4, corpus="m.txt", backbone="xlstm")
+        assert (rc.train_config().seed, rc.train_config().corpus) == (4, "m.txt")
+        assert rc.model_config().backbone == "xlstm"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rc.seed = 5
 
     def test_snr_range_must_be_ordered(self):
         with pytest.raises(ConfigError, match="snr"):

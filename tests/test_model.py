@@ -153,8 +153,8 @@ class TestDeterminism:
         a = tiny_model("transformer", True, seed=0)
         b = tiny_model("transformer", True, seed=1)
         assert not np.array_equal(
-            dict(a.named_parameters())["input_proj.kernel"].data,
-            dict(b.named_parameters())["input_proj.kernel"].data,
+            dict(a.named_parameters())["input_proj.w"].data,
+            dict(b.named_parameters())["input_proj.w"].data,
         )
 
 
@@ -200,6 +200,17 @@ class TestCheckpointRoundTrip:
         tensors[first] = np.zeros((2, 2), dtype=np.float32)
         save_tensors(path, tensors)
         with pytest.raises(DimensionError, match="shape"):
+            load_model(str(tmp_path))
+
+    def test_config_with_a_removed_key_is_rejected(self, tmp_path):
+        # checkpoints written while config.cfg still carried the bench_* keys do not load
+        from tfse.model import CONFIG_FILE
+
+        rc = self.make_run_config()
+        save_model(str(tmp_path), build_model(rc.model_config(), seed=5), rc)
+        with open(tmp_path / CONFIG_FILE, "a", encoding="utf-8") as fh:
+            fh.write("bench_runs = 20\n")
+        with pytest.raises(ConfigError, match="unknown key 'bench_runs'"):
             load_model(str(tmp_path))
 
 
@@ -272,7 +283,7 @@ class TestWaveformPipeline:
         model = tiny_model("mamba", True, blocks=1)
         with no_grad():
             params = dict(model.named_parameters())
-            params["output_proj.kernel"].data[:] = 0.0
+            params["output_proj.w"].data[:] = 0.0
             params["output_proj.b"].data[:] = 40.0
         w = dsp.Waveform(rng.uniform(-0.5, 0.5, 6000))
         out = enhance(model, w)

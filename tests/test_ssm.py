@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from tfse import ssm
 from tfse import tensor as T
 from tfse.errors import NumericError
 from tfse.ssm import (
@@ -186,12 +187,19 @@ class TestMambaCore:
         x = Tensor(rng.normal(size=(12, 16)).astype(F64))
         assert core(x).shape == (12, 16)
 
-    def test_scan_engines_agree_inside_the_core(self, core, rng):
+    def test_scan_engines_agree_inside_the_core(self, core, rng, monkeypatch):
         x = Tensor(rng.normal(size=(12, 16)).astype(F64))
+        calls = []
+
+        def sequential(*args):
+            calls.append(len(args))
+            return selective_scan_seq(*args)
+
         with no_grad():
-            np.testing.assert_allclose(
-                core(x, scan="par").data, core(x, scan="seq").data, rtol=1e-10, atol=1e-12
-            )
+            fused = core(x).data
+            monkeypatch.setattr(ssm, "selective_scan_par", sequential)
+            np.testing.assert_allclose(fused, core(x).data, rtol=1e-10, atol=1e-12)
+        assert calls == [6]  # the core ran the sequential scan once
 
     def test_causal_prefix_is_bit_exact(self, core, rng):
         x = rng.normal(size=(12, 16)).astype(F64)

@@ -106,9 +106,6 @@ UNARY_CASES = [
     ("neg", lambda x: T.neg(x), (-2.0, 2.0)),
     ("abs", lambda x: T.abs_(x), (0.5, 2.0)),
     ("exp", lambda x: T.exp(x), (-2.0, 2.0)),
-    ("log", lambda x: T.log(x), (0.5, 3.0)),
-    ("sqrt", lambda x: T.sqrt(x), (0.5, 3.0)),
-    ("tanh", lambda x: T.tanh(x), (-2.0, 2.0)),
     ("sigmoid", lambda x: T.sigmoid(x), (-4.0, 4.0)),
     ("relu", lambda x: T.relu(x), (0.3, 2.0)),
     ("silu", lambda x: T.silu(x), (-3.0, 3.0)),
@@ -206,14 +203,14 @@ class TestGradientOracle:
 
     def test_conv1d_same_padding(self, rng):
         x = t64(rng, 8, 3)
-        k = Tensor(rng.normal(size=(5, 3, 2)).astype(F64))
-        err = grad_check(lambda t: T.sum_(T.mul(T.conv1d(t, k), T.conv1d(t, k))), x)
+        k = Tensor(rng.normal(size=(5, 3)).astype(F64))
+        err = grad_check(lambda t: T.sum_(T.mul(T.depthwise_conv1d(t, k), T.depthwise_conv1d(t, k))), x)
         assert err < 1e-6
 
     def test_conv1d_kernel_grad(self, rng):
         x = Tensor(rng.normal(size=(8, 3)).astype(F64))
-        k = t64(rng, 5, 3, 2)
-        err = grad_check(lambda t: T.sum_(T.conv1d(x, t, causal=True)), k)
+        k = t64(rng, 5, 3)
+        err = grad_check(lambda t: T.sum_(T.depthwise_conv1d(x, t, causal=True)), k)
         assert err < 1e-6
 
     def test_depthwise_conv1d(self, rng):
@@ -273,20 +270,18 @@ class TestForwardSemantics:
 
     def test_causal_conv_never_reads_the_future(self, rng):
         x = Tensor(rng.normal(size=(10, 2)).astype(F64))
-        k = Tensor(rng.normal(size=(4, 2, 3)).astype(F64))
-        y1 = T.conv1d(x, k, causal=True).data.copy()
+        k = Tensor(rng.normal(size=(4, 2)).astype(F64))
+        y1 = T.depthwise_conv1d(x, k, causal=True).data.copy()
         x2 = Tensor(np.concatenate([x.data[:6], rng.normal(size=(4, 2))]))
-        y2 = T.conv1d(x2, k, causal=True).data
+        y2 = T.depthwise_conv1d(x2, k, causal=True).data
         np.testing.assert_array_equal(y1[:6], y2[:6])
 
     def test_conv1d_matches_manual_correlation(self, rng):
         x = rng.normal(size=(6, 2))
-        k = rng.normal(size=(3, 2, 1))
-        y = T.conv1d(Tensor(x, dtype=F64), Tensor(k, dtype=F64), causal=True).data
+        k = rng.normal(size=(3, 2))
+        y = T.depthwise_conv1d(Tensor(x, dtype=F64), Tensor(k, dtype=F64), causal=True).data
         xp = np.concatenate([np.zeros((2, 2)), x])
-        want = np.array(
-            [sum(xp[t + j] @ k[j] for j in range(3)) for t in range(6)]
-        ).reshape(6, 1)
+        want = np.array([sum(xp[t + j] * k[j] for j in range(3)) for t in range(6)])
         np.testing.assert_allclose(y, want, atol=1e-12)
 
     def test_matmul_dim_mismatch_raises(self, rng):
@@ -312,13 +307,6 @@ class TestForwardSemantics:
         x = t64(rng, 5)
         with pytest.raises(GraphError):
             x[np.array([0, 0, 1])]
-
-    def test_activation_dispatch_matches_direct_calls(self, rng):
-        x = t64(rng, 3, 4)
-        for kind, fn in [("relu", T.relu), ("silu", T.silu), ("sigmoid", T.sigmoid), ("tanh", T.tanh)]:
-            np.testing.assert_array_equal(T.activation(x, kind).data, fn(x).data)
-        with pytest.raises(Exception):
-            T.activation(x, "no-such-activation")
 
     @pytest.mark.parametrize("dtype", [np.float32, F64])
     def test_sigmoid_is_the_two_branch_form_bit_for_bit(self, rng, dtype):

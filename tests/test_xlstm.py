@@ -8,6 +8,8 @@ import pytest
 
 from tfse import tensor as T
 from tfse import xlstm
+from tfse.errors import ConfigError
+from tfse.module import BlockDiagonal
 from tfse.xlstm import (
     CHUNK,
     CBiXLSTMBlock,
@@ -254,8 +256,12 @@ class TestMLSTMCore:
         np.testing.assert_array_equal(y1[:8], y2[:8])
 
     def test_rejects_indivisible_head_split(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="heads"):
             MLSTMCore(10, np.random.default_rng(0), F64, heads=4, proj_factor=1.1)
+
+    def test_rejects_indivisible_qkv_blocks(self):
+        with pytest.raises(ConfigError, match="block size"):
+            BlockDiagonal(10, 4, np.random.default_rng(0), F64)
 
     def test_gradients(self, rng):
         core = MLSTMCore(8, np.random.default_rng(4), F64, heads=2, proj_factor=2.0)
