@@ -41,9 +41,10 @@ def _check_gradients() -> tuple[bool, str]:
     w = Tensor(rng.normal(size=(7, 4)).astype(np.float64))
     g = Tensor(np.ones(4, dtype=np.float64))
     b = Tensor(np.zeros(4, dtype=np.float64))
+    kernel = Tensor(rng.normal(size=(3, 4)).astype(np.float64))
 
     def f(t):
-        h = T.layer_norm(T.matmul(t, w), g, b)
+        h = T.depthwise_conv1d(T.layer_norm(T.matmul(t, w), g, b), kernel, b)
         return T.sum_(T.mul(T.softmax(h, axis=-1), T.silu(h)))
 
     err = T.grad_check(f, x)

@@ -68,21 +68,20 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, dtype, eps: float = 1e-5):
+    def __init__(self, d: int, dtype):
         self.gain = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 class DepthwiseConv1d(Module):
-    """Per-channel 1-D convolution, kernel [k, C]."""
+    """Per-channel 1-D convolution, kernel [k, C], with a bias."""
 
-    def __init__(self, channels: int, k: int, rng: np.random.Generator, dtype, bias: bool = True):
+    def __init__(self, channels: int, k: int, rng: np.random.Generator, dtype):
         self.kernel = _uniform(rng, (k, channels), k, dtype)
-        self.b = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor, causal: bool = False) -> Tensor:
         return T.depthwise_conv1d(x, self.kernel, self.b, causal=causal)

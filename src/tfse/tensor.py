@@ -4,7 +4,8 @@ Values are numpy arrays (float32 by default, float64 on request); every
 operation records a backward closure so scalar losses differentiate through
 arbitrary compositions. The op set is exactly what the enhancement models
 need: elementwise arithmetic and activations, batched matmul, shape ops,
-reductions, fused softmax, layer norm, and depthwise 1-D convolutions.
+sum and mean, and three fused ops of one node and a closed-form backward
+each: softmax, (grouped) layer norm and depthwise 1-D convolution.
 
 Gradient accumulation is additive: repeated backward() calls keep adding to
 leaf .grad buffers until zero_grad(). Intermediate nodes have their grads
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import DimensionError, GraphError
 
 DEFAULT_DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5
 
 
 def pin_malloc_thresholds() -> None:
@@ -194,29 +196,11 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p):
-        return pow_const(self, p)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
 
 
 def _raise_scalar(t: Tensor):
@@ -352,17 +336,6 @@ def neg(a: Tensor) -> Tensor:
         a._accumulate(-g)
 
     return _make(-a.data, (a,), grad_fn, "neg")
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    ad = a.data
-    out = ad**p
-
-    def grad_fn(g):
-        a._accumulate(g * p * ad ** (p - 1.0))
-
-    return _make(out, (a,), grad_fn, "pow")
 
 
 def maximum(a, b) -> Tensor:
@@ -543,19 +516,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in ts], axis=axis), ts, grad_fn, "concat")
 
 
-def pad(a: Tensor, pad_width) -> Tensor:
-    """Zero-pad; pad_width is a per-axis sequence of (before, after)."""
-    pw = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-    if len(pw) != a.ndim:
-        raise DimensionError(f"pad_width has {len(pw)} entries for a {a.ndim}-d tensor")
-    inner = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.data.shape))
-
-    def grad_fn(g):
-        a._accumulate(g[inner])
-
-    return _make(np.pad(a.data, pw), (a,), grad_fn, "pad")
-
-
 # ---- reductions ------------------------------------------------------------
 
 
@@ -606,25 +566,31 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softmax")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, eps: float = 1e-5, groups: int = 1) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, groups: int = 1) -> Tensor:
     """Normalize each of `groups` equal runs of consecutive features on the
     last axis to zero mean / unit variance, then scale by gain and add bias."""
-    xg = x if groups == 1 else reshape(x, *x.shape[:-1], groups, x.shape[-1] // groups)
-    mu = mean(xg, axis=-1, keepdims=True)
-    xc = sub(xg, mu)
-    var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    normed = mul(xc, pow_const(add(var, eps), -0.5))
-    if groups != 1:
-        normed = reshape(normed, x.shape)
-    out = mul(normed, gain)
-    return out if bias is None else add(out, bias)
+    xd = x.data
+    xg = xd if groups == 1 else xd.reshape(*xd.shape[:-1], groups, xd.shape[-1] // groups)
+    xc = xg - xg.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    rstd = (var + LAYER_NORM_EPS) ** -0.5
+    xc *= rstd  # now x-hat, the normalized input
+    normed = xc.reshape(xd.shape)
+    out = normed * gain.data
+    if bias is not None:
+        out += bias.data
 
+    def grad_fn(g):
+        if x.requires_grad:
+            gh = (g * gain.data).reshape(xg.shape)
+            gh -= gh.mean(axis=-1, keepdims=True) + xc * (gh * xc).mean(axis=-1, keepdims=True)
+            gh *= rstd
+            x._accumulate(gh.reshape(xd.shape))
+        gain._accumulate(g * normed)
+        if bias is not None:
+            bias._accumulate(g)
 
-def _pad_frames(x: Tensor, k: int, causal: bool) -> Tensor:
-    """Pad the frame axis (-2) for a length-preserving k-tap convolution:
-    k-1 frames on the left when causal, else (k-1)//2 left and k//2 right."""
-    lo = k - 1 if causal else (k - 1) // 2
-    return pad(x, ((0, 0),) * (x.ndim - 2) + ((lo, k - 1 - lo), (0, 0)))
+    return _make(out, (x, gain) if bias is None else (x, gain, bias), grad_fn, "layer_norm")
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool = False) -> Tensor:
@@ -637,14 +603,30 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
     if x.shape[-1] != c:
         raise DimensionError(f"depthwise_conv1d channel mismatch: x has {x.shape[-1]}, kernel expects {c}")
     L = x.shape[-2]
-    xp = _pad_frames(x, k, causal)
-    out = None
-    for j in range(k):
-        term = mul(getitem(xp, (Ellipsis, slice(j, j + L), slice(None))), getitem(kernel, j))
-        out = term if out is None else add(out, term)
+    lo = k - 1 if causal else (k - 1) // 2
+    kd = kernel.data
+    xp = np.pad(x.data, ((0, 0),) * (x.ndim - 2) + ((lo, k - 1 - lo), (0, 0)))
+    out = xp[..., :L, :] * kd[0]
+    term = np.empty_like(out)
+    for j in range(1, k):
+        out += np.multiply(xp[..., j:j + L, :], kd[j], out=term)
     if bias is not None:
-        out = add(out, bias)
-    return out
+        out += bias.data
+
+    def grad_fn(g):
+        if x.requires_grad:
+            gp = np.zeros_like(xp)
+            term = np.empty_like(g)
+            for j in range(k):
+                gp[..., j:j + L, :] += np.multiply(g, kd[j], out=term)
+            x._accumulate(gp[..., lo:lo + L, :])
+        if kernel.requires_grad:  # one einsum over the k sliding windows of the padded input
+            windows = np.lib.stride_tricks.sliding_window_view(xp.reshape(-1, *xp.shape[-2:]), L, axis=1)
+            kernel._accumulate(np.einsum("bkcl,blc->kc", windows, g.reshape(-1, L, c)))
+        if bias is not None:
+            bias._accumulate(g)
+
+    return _make(out, (x, kernel) if bias is None else (x, kernel, bias), grad_fn, "depthwise_conv1d")
 
 
 # ---- gradient checking ------------------------------------------------------

@@ -370,6 +370,7 @@ def train(
     last_loss = float("nan")
     last_grad_max = 0.0
     stop = False
+    # a fresh run always saves; a resumed one with no epochs left keeps its own
     ckpt_dir = resume_from or ""
 
     with open(csv_path, csv_mode, encoding="utf-8") as csv:
@@ -401,7 +402,4 @@ def train(
             if stop:
                 break
 
-    if not ckpt_dir:
-        ckpt_dir = os.path.join(out_dir, f"ckpt-{epochs_done:04d}")
-        save_checkpoint(ckpt_dir, model, run_cfg, opt, rng, epochs_done, global_step)
     return TrainResult(ckpt_dir, csv_path, epochs_done, global_step, last_loss)

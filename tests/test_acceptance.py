@@ -6,7 +6,6 @@ not be loosened; a red test means the release bar is not met.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from tfse.evalbench import estoi, measure_rtf, measure_train_step
 from tfse.model import build_model, count_params, enhance, load_model
 from tfse.ssm import BiMambaBlock, MambaBlock, selective_scan_par, selective_scan_seq
 from tfse.synth import filtered_noise, make_corpus, tonal_speech
-from tfse.tensor import Tensor, backward, grad_check, grad_check_params, no_grad
+from tfse.tensor import Tensor, grad_check, grad_check_params, no_grad
 from tfse.training import lr_at, train
 from tfse.xlstm import (
     CBiXLSTMBlock,

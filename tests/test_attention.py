@@ -10,7 +10,7 @@ from tfse.attention import (
     TransformerBlock,
     causal_mask,
 )
-from tfse.tensor import Tensor, backward, grad_check_params, no_grad
+from tfse.tensor import Tensor, grad_check_params, no_grad
 
 F64 = np.float64
 

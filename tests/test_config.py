@@ -3,7 +3,6 @@
 import dataclasses
 from dataclasses import fields
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

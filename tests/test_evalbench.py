@@ -1,7 +1,6 @@
 """Evaluation and benchmark harness tests: intelligibility scorer sanity,
 resampler behavior, timing report plumbing, and scoring tables."""
 
-import os
 import sys
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tfse.config import RunConfig
-from tfse.dsp import SAMPLE_RATE, Waveform, mix_at_snr, read_wav, write_wav
+from tfse.dsp import Waveform, mix_at_snr, write_wav
 from tfse.errors import DataError, FormatError, LengthError, SampleRateError, TfseError
 from tfse.evalbench import (
     BenchReport,
