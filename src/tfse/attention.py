@@ -37,28 +37,24 @@ class MultiHeadSelfAttention(Module):
         self.wv = Linear(d_model, d_model, rng, dtype)
         self.wo = Linear(d_model, d_model, rng, dtype)
 
-    def _split(self, x: Tensor) -> Tensor:
-        x = T.reshape(x, *x.shape[:-1], self.heads, self.d_head)
-        return T.swapaxes(x, -3, -2)  # [..., H, L, d_head]
-
     def __call__(self, x: Tensor, causal: bool, rope: bool = False) -> Tensor:
         """x [..., L, d_model] (leading axes are batch axes)."""
         L = x.shape[-2]
-        q = self._split(self.wq(x))
-        k = self._split(self.wk(x))
-        v = self._split(self.wv(x))
+        heads = (-1, L, self.heads, self.d_head), (0, 2, 1, 3)  # -> [N, H, L, d_head], clips folded
+        q = T.rearrange(self.wq(x), *heads)
+        k = T.rearrange(self.wk(x), *heads)
+        v = T.rearrange(self.wv(x), *heads)
         if rope:
             cos_t, sin_t = PE.rotary_tables(L, self.d_head, x.dtype)
             cos, sin = Tensor(cos_t), Tensor(sin_t)
             q = PE.apply_rotary(q, cos, sin)
             k = PE.apply_rotary(k, cos, sin)
-        scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.d_head))
+        scores = T.mul(T.matmul(q, T.rearrange(k, k.shape, (0, 1, 3, 2))), 1.0 / np.sqrt(self.d_head))
         if causal:
             scores = T.add(scores, causal_mask(L, x.dtype))
         attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, v)  # [..., H, L, d_head]
-        ctx = T.reshape(T.swapaxes(ctx, -3, -2), x.shape)
-        return self.wo(ctx)
+        ctx = T.matmul(attn, v)  # [N, H, L, d_head]
+        return self.wo(T.rearrange(ctx, ctx.shape, (0, 2, 1, 3), x.shape))
 
 
 class TransformerBlock(Module):

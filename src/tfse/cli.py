@@ -44,7 +44,8 @@ def _check_gradients() -> tuple[bool, str]:
     kernel = Tensor(rng.normal(size=(3, 4)).astype(np.float64))
 
     def f(t):
-        h = T.depthwise_conv1d(T.layer_norm(T.matmul(t, w), g, b), kernel, b)
+        h = T.rearrange(T.matmul(t, w), (5, 2, 2), (2, 0, 1), (5, 4))  # a head split, permute and merge
+        h = T.depthwise_conv1d(T.layer_norm(h, g, b), kernel, b)
         return T.sum_(T.mul(T.softmax(h, axis=-1), T.silu(h)))
 
     err = T.grad_check(f, x)

@@ -102,9 +102,6 @@ class BlockDiagonal(Module):
         self.w = _uniform(rng, (self.n_blocks, block_size, block_size), block_size, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        # the rows of all leading axes fold into one: [..., d] -> [N, nb, bs]
-        xb = T.reshape(x, -1, self.n_blocks, self.block_size)
-        xb = T.transpose(xb, (1, 0, 2))  # [nb, N, bs]
-        yb = T.matmul(xb, self.w)
-        yb = T.transpose(yb, (1, 0, 2))
-        return T.reshape(yb, x.shape)
+        # the rows of all leading axes fold into one: [..., d] -> [nb, N, bs]
+        yb = T.matmul(T.rearrange(x, (-1, self.n_blocks, self.block_size), (1, 0, 2)), self.w)
+        return T.rearrange(yb, yb.shape, (1, 0, 2), x.shape)

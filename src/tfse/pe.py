@@ -60,13 +60,13 @@ def apply_rotary(x: Tensor, cos: Tensor, sin: Tensor) -> Tensor:
     """
     shape = x.shape
     d = shape[-1]
-    xr = T.reshape(x, *shape[:-1], d // 2, 2)
+    xr = T.rearrange(x, (*shape[:-1], d // 2, 2))
     x0 = xr[..., 0]
     x1 = xr[..., 1]
     y0 = T.sub(T.mul(x0, cos), T.mul(x1, sin))
     y1 = T.add(T.mul(x0, sin), T.mul(x1, cos))
     pair = T.concat(
-        [T.reshape(y0, *shape[:-1], d // 2, 1), T.reshape(y1, *shape[:-1], d // 2, 1)],
+        [T.rearrange(y0, (*shape[:-1], d // 2, 1)), T.rearrange(y1, (*shape[:-1], d // 2, 1))],
         axis=-1,
     )
-    return T.reshape(pair, *shape)
+    return T.rearrange(pair, shape)

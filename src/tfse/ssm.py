@@ -49,15 +49,15 @@ def selective_scan_seq(u, delta, A, B, C, D) -> Tensor:
     _check_finite("selective_scan_seq", u, delta, A, B, C, D)
     *lead, L, d_inner = u.shape
     d_state = A.shape[1]
-    dA = T.exp(T.mul(T.reshape(delta, *lead, L, d_inner, 1), A))
-    dBu = T.mul(T.reshape(T.mul(delta, u), *lead, L, d_inner, 1), T.reshape(B, *lead, L, 1, d_state))
+    dA = T.exp(T.mul(T.rearrange(delta, (*lead, L, d_inner, 1)), A))
+    dBu = T.mul(T.rearrange(T.mul(delta, u), (*lead, L, d_inner, 1)), T.rearrange(B, (*lead, L, 1, d_state)))
     h_t = Tensor(np.zeros((*lead, d_inner, d_state), dtype=u.dtype))
     rows = []
     for t in range(L):
         h_t = T.add(T.mul(dA[..., t, :, :], h_t), dBu[..., t, :, :])
-        rows.append(T.reshape(h_t, *lead, 1, d_inner, d_state))
+        rows.append(T.rearrange(h_t, (*lead, 1, d_inner, d_state)))
     h = T.concat(rows, axis=-3)
-    y = T.sum_(T.mul(h, T.reshape(C, *lead, L, 1, d_state)), axis=-1)
+    y = T.sum_(T.mul(h, T.rearrange(C, (*lead, L, 1, d_state))), axis=-1)
     return T.add(y, T.mul(u, D))
 
 

@@ -3,9 +3,10 @@
 Values are numpy arrays (float32 by default, float64 on request); every
 operation records a backward closure so scalar losses differentiate through
 arbitrary compositions. The op set is exactly what the enhancement models
-need: elementwise arithmetic and activations, batched matmul, shape ops,
-sum and mean, and three fused ops of one node and a closed-form backward
-each: softmax, (grouped) layer norm and depthwise 1-D convolution.
+need: elementwise arithmetic and activations, batched matmul, one layout
+op (rearrange: reshape, permute, reshape) beside basic indexing and
+concat, sum and mean, and three fused ops of one node and a closed-form
+backward each: softmax, (grouped) layer norm and depthwise 1-D convolution.
 
 Gradient accumulation is additive: repeated backward() calls keep adding to
 leaf .grad buffers until zero_grad(). Intermediate nodes have their grads
@@ -174,30 +175,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -424,7 +409,7 @@ def softplus(a: Tensor) -> Tensor:
     return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softplus")
 
 
-# ---- matmul and shape ops ---------------------------------------------------
+# ---- matmul and layout ops --------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -455,34 +440,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.matmul(ad, bd), (a, b), grad_fn, "matmul")
 
 
-def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    old = a.data.shape
+def rearrange(a: Tensor, shape, axes=None, to=None) -> Tensor:
+    """Reshape a to `shape`, permute the axes by `axes` when given, then
+    reshape to `to` when given: a head split or merge as one node. The
+    backward undoes the three steps in reverse order."""
+    x = a.data.reshape(shape)
+    if axes is not None:
+        x = x.transpose(axes)
+    permuted = x.shape
+    if to is not None:
+        x = x.reshape(to)
 
     def grad_fn(g):
-        a._accumulate(g.reshape(old))
+        if to is not None:
+            g = g.reshape(permuted)
+        if axes is not None:
+            g = g.transpose(np.argsort(axes))
+        a._accumulate(g.reshape(a.data.shape))
 
-    return _make(a.data.reshape(shape), (a,), grad_fn, "reshape")
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def grad_fn(g):
-        a._accumulate(g.transpose(inv))
-
-    return _make(a.data.transpose(axes), (a,), grad_fn, "transpose")
-
-
-def swapaxes(a: Tensor, i: int, j: int) -> Tensor:
-    def grad_fn(g):
-        a._accumulate(g.swapaxes(i, j))
-
-    return _make(a.data.swapaxes(i, j), (a,), grad_fn, "swapaxes")
+    return _make(x, (a,), grad_fn, "rearrange")
 
 
 def getitem(a: Tensor, idx) -> Tensor:

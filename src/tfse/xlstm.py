@@ -84,10 +84,11 @@ def mlstm_cell_step(
     m_new = T.maximum(T.add(f_raw, state.m), i_raw)
     i_p = T.exp(T.sub(i_raw, m_new))
     f_p = T.exp(T.sub(T.add(f_raw, state.m), m_new))
-    C = T.add(T.mul(f_p, state.C), T.mul(i_p, T.matmul(v, T.swapaxes(k, -1, -2))))
+    H, dh, _ = k.shape
+    C = T.add(T.mul(f_p, state.C), T.mul(i_p, T.matmul(v, T.rearrange(k, (H, 1, dh)))))
     n = T.add(T.mul(f_p, state.n), T.mul(i_p, k))
     num = T.matmul(C, q)  # [H, dh, 1]
-    dot = T.abs_(T.matmul(T.swapaxes(n, -1, -2), q))  # [H, 1, 1]
+    dot = T.abs_(T.matmul(T.rearrange(n, (H, 1, dh)), q))  # [H, 1, 1]
     tiny = float(np.finfo(q.dtype).tiny)
     denom = T.maximum(dot, T.maximum(T.exp(T.neg(m_new)), tiny))
     h = T.div(num, denom)
@@ -242,18 +243,17 @@ class MLSTMCore(Module):
         z = up[..., di:]
         xc = T.silu(self.conv(up[..., :di], causal=True))
 
-        def heads_first(t: Tensor) -> Tensor:  # [..., L, H * n] -> [N * H, L, n], clips folded into heads
-            t = T.swapaxes(T.reshape(t, -1, L, H, t.shape[-1] // H), 1, 2)
-            return T.reshape(t, -1, L, t.shape[-1])
+        def heads_first(t: Tensor) -> Tensor:  # [..., L, H * dh] -> [N * H, L, dh], clips folded into heads
+            return T.rearrange(t, (-1, L, H, dh), (0, 2, 1, 3), (-1, L, dh))
 
-        q = heads_first(self.q_proj(xc))  # [N * H, L, dh]
+        q = heads_first(self.q_proj(xc))
         k = heads_first(T.mul(self.k_proj(xc), dh ** -0.5))
         v = heads_first(self.v_proj(xc))
-        ig = T.reshape(T.swapaxes(self.i_gate(xc), -1, -2), -1, L)  # [N * H, L]
-        fg = T.reshape(T.swapaxes(self.f_gate(xc), -1, -2), -1, L)
+        gates = (-1, L, H), (0, 2, 1), (-1, L)  # [..., L, H] -> [N * H, L]
+        ig = T.rearrange(self.i_gate(xc), *gates)
+        fg = T.rearrange(self.f_gate(xc), *gates)
         # [N * H, L, dh] -> [..., L, d_inner] with features in d-major order (index d * H + head)
-        h = T.reshape(mlstm_scan(q, k, v, ig, fg), -1, H, L, dh)
-        h = T.reshape(T.transpose(h, (0, 2, 3, 1)), *lead, L, di)
+        h = T.rearrange(mlstm_scan(q, k, v, ig, fg), (-1, H, L, dh), (0, 2, 3, 1), (*lead, L, di))
         if not np.all(np.isfinite(h.data)):
             raise NumericError("mlstm scan produced non-finite state")
         h = T.layer_norm(h, self.out_gain, groups=H)  # per group of d_head consecutive features

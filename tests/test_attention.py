@@ -73,6 +73,25 @@ class TestMultiHeadSelfAttention:
         errs = grad_check_params(loss_fn, mhsa.named_parameters(), h=1e-6)
         assert max(errs.values()) < 1e-3, errs
 
+    @pytest.mark.parametrize("shape", [(16, 24), (2, 16, 24)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "noncausal"])
+    def test_head_h_reads_features_h_times_d_head_onward(self, rng, shape, causal):
+        mhsa = MultiHeadSelfAttention(24, 4, make_rng(), F64)
+        x = rng.normal(size=shape)
+        q, k, v = (x @ lin.w.data + lin.b.data for lin in (mhsa.wq, mhsa.wk, mhsa.wv))
+        ctx = np.empty_like(x)
+        for h in range(mhsa.heads):  # one head at a time on its own run of features
+            cols = slice(h * mhsa.d_head, (h + 1) * mhsa.d_head)
+            scores = q[..., cols] @ k[..., cols].swapaxes(-1, -2) * (1.0 / np.sqrt(mhsa.d_head))
+            if causal:
+                scores = scores + causal_mask(shape[-2], F64).data
+            p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            ctx[..., cols] = (p / p.sum(axis=-1, keepdims=True)) @ v[..., cols]
+        want = ctx @ mhsa.wo.w.data + mhsa.wo.b.data
+        with no_grad():
+            got = mhsa(Tensor(x), causal=causal).data
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
 
 class TestTransformerBlock:
     def test_permuting_positions_permutes_outputs(self, rng):

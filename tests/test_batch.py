@@ -1,15 +1,17 @@
 """Batch axis: a model run on [B, L, 257] equals the per-clip runs stacked,
 forward and backward, for every backbone; train_step's loss is the mean of
-the per-clip losses whatever the mix of clip lengths."""
+the per-clip losses whatever the mix of clip lengths, and its graph stays
+within a node budget."""
 
 import numpy as np
 import pytest
 
 from tfse import tensor as T
-from tfse.config import RunConfig
+from tfse import training
+from tfse.config import RunConfig, read_config, resolve_config_arg
 from tfse.errors import DimensionError
 from tfse.model import build_model
-from tfse.tensor import Tensor, backward, no_grad
+from tfse.tensor import CompGraph, Tensor, backward, no_grad
 from tfse.training import AdamState, clip_loss, train_step
 
 TINY = dict(d_model=32, d_ff=64, heads=4, d_state=4, conv_kernel=7)
@@ -110,3 +112,24 @@ def test_train_step_loss_is_the_mean_of_per_clip_losses_over_mixed_lengths(backb
     assert grad_max == pytest.approx(max(float(np.abs(g).max()) for g in want_grad.values()), rel=1e-9)
     for name, p in model.named_parameters():  # lr 0 leaves the weights; grads are clipped in place
         np.testing.assert_allclose(p.grad, np.clip(want_grad[name], -1, 1), rtol=1e-9, atol=1e-15, err_msg=name)
+
+
+# one node per head split or merge: a block that rebuilds a chain of layout
+# ops (reshape, transpose, reshape) goes over its preset's budget
+@pytest.mark.parametrize("preset,budget", [("xlstm-7", 250), ("transformer-4", 120)])
+def test_train_step_graph_stays_within_its_node_budget(preset, budget, monkeypatch):
+    model = build_model(read_config(resolve_config_arg(preset)).model_config(), seed=0)
+    rng = np.random.default_rng(3)
+    batch = [
+        (rng.uniform(0, 1.5, (63, 257)).astype(np.float32), rng.uniform(0, 1, (63, 257)).astype(np.float32))
+        for _ in range(2)
+    ]
+    nodes = []
+
+    def counting_backward(loss):
+        nodes.append(sum(1 for n in CompGraph(loss).order if n.op != "leaf"))
+        backward(loss)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    train_step(model, AdamState(), batch, 0.0, "mask-mse")
+    assert len(nodes) == 1 and nodes[0] <= budget, nodes

@@ -111,8 +111,10 @@ UNARY_CASES = [
     ("silu", lambda x: T.silu(x), (-3.0, 3.0)),
     ("softplus", lambda x: T.softplus(x), (-3.0, 3.0)),
     ("softmax", lambda x: T.softmax(x, axis=-1), (-2.0, 2.0)),
-    ("reshape", lambda x: T.reshape(x, 12), (-2.0, 2.0)),
-    ("transpose", lambda x: T.transpose(x), (-2.0, 2.0)),
+    ("reshape", lambda x: T.rearrange(x, (12,)), (-2.0, 2.0)),
+    ("transpose", lambda x: T.rearrange(x, x.shape, (1, 0)), (-2.0, 2.0)),
+    ("swapaxes", lambda x: T.rearrange(x, (3, 2, 2), (2, 1, 0)), (-2.0, 2.0)),
+    ("split_permute_merge", lambda x: T.rearrange(x, (3, 2, 2), (1, 0, 2), (2, 6)), (-2.0, 2.0)),
     ("slice", lambda x: x[1:, ::2], (-2.0, 2.0)),
     ("sum_all", lambda x: T.sum_(x), (-2.0, 2.0)),
     ("sum_axis0", lambda x: T.sum_(x, axis=0), (-2.0, 2.0)),
@@ -186,11 +188,6 @@ class TestGradientOracle:
         err = grad_check(lambda t: T.sum_(T.mul(T.concat([t, other], axis=0), 1.5)), x)
         assert err < 1e-6
 
-    def test_swapaxes(self, rng):
-        x = t64(rng, 2, 3, 4)
-        err = grad_check(lambda t: T.sum_(T.mul(T.swapaxes(t, 0, 2), 2.0)), x)
-        assert err < 1e-6
-
     def test_layer_norm(self, rng):
         x = t64(rng, 4, 6)
         g = Tensor(rng.uniform(0.5, 1.5, 6).astype(F64))
@@ -249,13 +246,13 @@ def _ref_pow(a, p):
 
 def ref_layer_norm(x, gain, bias=None, groups=1):
     """The node-by-node composition that T.layer_norm fuses."""
-    xg = x if groups == 1 else T.reshape(x, *x.shape[:-1], groups, x.shape[-1] // groups)
+    xg = x if groups == 1 else T.rearrange(x, (*x.shape[:-1], groups, x.shape[-1] // groups))
     mu = T.mean(xg, axis=-1, keepdims=True)
     xc = T.sub(xg, mu)
     var = T.mean(T.mul(xc, xc), axis=-1, keepdims=True)
     normed = T.mul(xc, _ref_pow(T.add(var, T.LAYER_NORM_EPS), -0.5))
     if groups != 1:
-        normed = T.reshape(normed, x.shape)
+        normed = T.rearrange(normed, x.shape)
     out = T.mul(normed, gain)
     return out if bias is None else T.add(out, bias)
 
@@ -361,6 +358,57 @@ class TestFusedNormAndConv:
         x, w = Tensor(rng.normal(size=(2, 8, 3))), Tensor(rng.normal(size=(2, 8, 3)))
         err = grad_check(lambda t: T.sum_(T.mul(T.depthwise_conv1d(x, t), w)), t64(rng, 5, 3))
         assert err < 1e-6
+
+
+# (input shape, shape, axes, to)
+REARRANGES = {
+    "minus_one": ((2, 3, 4), (-1, 4), None, None),
+    "axes": ((2, 3, 4), (2, 3, 4), (2, 0, 1), None),
+    "to": ((2, 3, 4), (6, 4), None, (4, 6)),
+    "split_permute_merge": ((2, 5, 12), (-1, 5, 3, 4), (0, 2, 1, 3), (-1, 5, 4)),
+}
+
+
+class TestRearrange:
+    """The one layout op: numpy's reshape -> transpose -> reshape as one node,
+    its backward the same data movement undone."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("case", REARRANGES.values(), ids=REARRANGES.keys())
+    def test_forward_is_numpy_bit_for_bit(self, rng, case, dtype):
+        src, shape, axes, to = case
+        x = rng.normal(size=src).astype(dtype)
+        want = x.reshape(shape)
+        if axes is not None:
+            want = want.transpose(axes)
+        if to is not None:
+            want = want.reshape(to)
+        got = T.rearrange(Tensor(x), shape, axes, to).data
+        assert got.shape == want.shape and got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", REARRANGES.values(), ids=REARRANGES.keys())
+    def test_records_one_node_and_none_without_grad(self, rng, case):
+        src, shape, axes, to = case
+        x = t64(rng, *src)
+        assert _n_recorded(T.rearrange(x, shape, axes, to)) == 1
+        with no_grad():
+            out = T.rearrange(x, shape, axes, to)
+        assert not out.requires_grad and out._grad_fn is None and out._parents == ()
+
+    @pytest.mark.parametrize("case", REARRANGES.values(), ids=REARRANGES.keys())
+    def test_backward_hands_back_the_upstream_gradient_arranged_inversely(self, rng, case):
+        src, shape, axes, to = case
+        n = int(np.prod(src))
+        # where each input element lands: rearrange the element indices themselves
+        with no_grad():
+            dest = T.rearrange(Tensor(np.arange(n, dtype=F64)), shape, axes, to).data.astype(int)
+        x = t64(rng, *src)
+        g = rng.normal(size=dest.shape)
+        backward(T.sum_(T.mul(T.rearrange(x, shape, axes, to), Tensor(g))))
+        want = np.empty(n)
+        want[dest.reshape(-1)] = g.reshape(-1)
+        np.testing.assert_array_equal(x.grad, want.reshape(src))
 
 
 class TestGradCheckDetectsCorruption:

@@ -132,13 +132,13 @@ def cell_scan(q, k, v, i_raw, f_raw):
     for t in range(L):
         state, h = mlstm_cell_step(
             state,
-            T.reshape(q[:, t], H, dh, 1),
-            T.reshape(k[:, t], H, dh, 1),
-            T.reshape(v[:, t], H, dh, 1),
-            T.reshape(i_raw[:, t], H, 1, 1),
-            T.reshape(f_raw[:, t], H, 1, 1),
+            T.rearrange(q[:, t], (H, dh, 1)),
+            T.rearrange(k[:, t], (H, dh, 1)),
+            T.rearrange(v[:, t], (H, dh, 1)),
+            T.rearrange(i_raw[:, t], (H, 1, 1)),
+            T.rearrange(f_raw[:, t], (H, 1, 1)),
         )
-        rows.append(T.reshape(h, H, 1, dh))
+        rows.append(T.rearrange(h, (H, 1, dh)))
     return T.concat(rows, axis=1)
 
 
@@ -262,6 +262,18 @@ class TestMLSTMCore:
     def test_rejects_indivisible_qkv_blocks(self):
         with pytest.raises(ConfigError, match="block size"):
             BlockDiagonal(10, 4, np.random.default_rng(0), F64)
+
+    @pytest.mark.parametrize("shape", [(7, 12), (2, 7, 12)], ids=["2d", "3d"])
+    def test_block_i_maps_features_i_times_block_size_onward(self, rng, shape):
+        bd = BlockDiagonal(12, 4, np.random.default_rng(3), F64)
+        x = rng.normal(size=shape)
+        want = np.empty_like(x)
+        for i in range(bd.n_blocks):  # one block at a time on its own run of features
+            cols = slice(i * bd.block_size, (i + 1) * bd.block_size)
+            want[..., cols] = x[..., cols] @ bd.w.data[i]
+        with no_grad():
+            got = bd(Tensor(x)).data
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_gradients(self, rng):
         core = MLSTMCore(8, np.random.default_rng(4), F64, heads=2, proj_factor=2.0)
