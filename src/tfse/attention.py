@@ -10,18 +10,11 @@ batch-independent.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import pe as PE
 from . import tensor as T
 from .errors import ConfigError
 from .module import DepthwiseConv1d, LayerNorm, Linear, Module
 from .tensor import Tensor
-
-
-def causal_mask(length: int, dtype=np.float32) -> Tensor:
-    """[L, L] additive mask: 0 on and below the diagonal, -inf above."""
-    return Tensor(np.triu(np.full((length, length), -np.inf, dtype=dtype), 1))
 
 
 class MultiHeadSelfAttention(Module):
@@ -45,15 +38,10 @@ class MultiHeadSelfAttention(Module):
         k = T.rearrange(self.wk(x), *heads)
         v = T.rearrange(self.wv(x), *heads)
         if rope:
-            cos_t, sin_t = PE.rotary_tables(L, self.d_head, x.dtype)
-            cos, sin = Tensor(cos_t), Tensor(sin_t)
+            cos, sin = PE.rotary_tables(L, self.d_head, x.dtype)
             q = PE.apply_rotary(q, cos, sin)
             k = PE.apply_rotary(k, cos, sin)
-        scores = T.mul(T.matmul(q, T.rearrange(k, k.shape, (0, 1, 3, 2))), 1.0 / np.sqrt(self.d_head))
-        if causal:
-            scores = T.add(scores, causal_mask(L, x.dtype))
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, v)  # [N, H, L, d_head]
+        ctx = T.attention(q, k, v, causal)  # [N, H, L, d_head]
         return self.wo(T.rearrange(ctx, ctx.shape, (0, 2, 1, 3), x.shape))
 
 

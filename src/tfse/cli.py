@@ -46,7 +46,8 @@ def _check_gradients() -> tuple[bool, str]:
     def f(t):
         h = T.rearrange(T.matmul(t, w), (5, 2, 2), (2, 0, 1), (5, 4))  # a head split, permute and merge
         h = T.depthwise_conv1d(T.layer_norm(h, g, b), kernel, b)
-        return T.sum_(T.mul(T.softmax(h, axis=-1), T.silu(h)))
+        a = T.rearrange(h, (5, 2, 2), (1, 0, 2))  # two heads of two features
+        return T.sum_(T.attention(a, T.silu(a), T.sigmoid(a), causal=True))
 
     err = T.grad_check(f, x)
     return err < 1e-6, f"max gradient mismatch {err:.3e} (tol 1e-6)"

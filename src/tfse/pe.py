@@ -51,22 +51,15 @@ def rotary_tables(length: int, d_head: int, dtype=np.float32) -> tuple[np.ndarra
     return np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
 
 
-def apply_rotary(x: Tensor, cos: Tensor, sin: Tensor) -> Tensor:
+def apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate consecutive feature pairs of x by position-dependent angles.
 
     x is [..., L, d_head]; cos/sin broadcast as [L, d_head // 2]. Pair
     (x_2i, x_2i+1) maps to (x_2i cos - x_2i+1 sin, x_2i sin + x_2i+1 cos),
-    which preserves the per-pair (and total) norm.
+    which preserves the per-pair (and total) norm. The second term is the
+    swapped pair (x_2i+1, x_2i) times (-sin, sin).
     """
     shape = x.shape
-    d = shape[-1]
-    xr = T.rearrange(x, (*shape[:-1], d // 2, 2))
-    x0 = xr[..., 0]
-    x1 = xr[..., 1]
-    y0 = T.sub(T.mul(x0, cos), T.mul(x1, sin))
-    y1 = T.add(T.mul(x0, sin), T.mul(x1, cos))
-    pair = T.concat(
-        [T.rearrange(y0, (*shape[:-1], d // 2, 1)), T.rearrange(y1, (*shape[:-1], d // 2, 1))],
-        axis=-1,
-    )
-    return T.rearrange(pair, shape)
+    pairs = T.rearrange(x, (*shape[:-1], shape[-1] // 2, 2))
+    rot = T.add(T.mul(pairs, np.stack((cos, cos), -1)), T.mul(pairs[..., ::-1], np.stack((-sin, sin), -1)))
+    return T.rearrange(rot, shape)

@@ -6,7 +6,8 @@ arbitrary compositions. The op set is exactly what the enhancement models
 need: elementwise arithmetic and activations, batched matmul, one layout
 op (rearrange: reshape, permute, reshape) beside basic indexing and
 concat, sum and mean, and three fused ops of one node and a closed-form
-backward each: softmax, (grouped) layer norm and depthwise 1-D convolution.
+backward each: scaled dot-product attention, (grouped) layer norm and
+depthwise 1-D convolution.
 
 Gradient accumulation is additive: repeated backward() calls keep adding to
 leaf .grad buffers until zero_grad(). Intermediate nodes have their grads
@@ -525,21 +526,32 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---- fused composites -------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically safe softmax. -inf entries map to exactly 0; a row of
-    all -inf maps to all zeros rather than NaN."""
-    x = a.data
-    m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(x - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = e / np.maximum(s, np.finfo(x.dtype).tiny)
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
+    """Scaled dot-product attention softmax(q kᵀ / sqrt(d) + mask) v over
+    [..., L, d] heads; causal masks each query's later keys. Only the [L, L]
+    probabilities are kept for the backward. Every row sees at least its
+    own key, so no row is fully masked."""
+    L, d = q.shape[-2:]
+    scale = np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
+    qd, kd, vd = q.data, k.data, v.data
+    p = np.matmul(qd, kd.swapaxes(-1, -2))
+    p *= scale
+    if causal:
+        p += np.triu(np.full((L, L), -np.inf, dtype=p.dtype), 1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        a._accumulate(out * (g - inner))
+        v._accumulate(np.matmul(p.swapaxes(-1, -2), g))
+        ds = np.matmul(g, vd.swapaxes(-1, -2))  # dL/dp, then in place dL/d(q kᵀ)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        q._accumulate(np.matmul(ds, kd))
+        k._accumulate(np.matmul(ds.swapaxes(-1, -2), qd))
 
-    return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softmax")
+    return _make(np.matmul(p, vd), (q, k, v), grad_fn, "attention")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, groups: int = 1) -> Tensor:

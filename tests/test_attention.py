@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from tfse import tensor as T
-from tfse.attention import (
-    ConformerBlock,
-    MultiHeadSelfAttention,
-    TransformerBlock,
-    causal_mask,
-)
+from tfse.attention import ConformerBlock, MultiHeadSelfAttention, TransformerBlock
 from tfse.tensor import Tensor, grad_check_params, no_grad
 
 F64 = np.float64
@@ -22,16 +17,6 @@ def make_rng():
 @pytest.fixture
 def x16(rng):
     return Tensor(rng.normal(size=(16, 24)).astype(F64))
-
-
-class TestCausalMask:
-    def test_upper_triangle_is_minus_inf(self):
-        m = causal_mask(4, np.float64).data
-        assert np.all(np.isneginf(m[np.triu_indices(4, k=1)]))
-
-    def test_diagonal_and_lower_are_zero(self):
-        m = causal_mask(4, np.float64).data
-        assert np.all(m[np.tril_indices(4)] == 0.0)
 
 
 class TestMultiHeadSelfAttention:
@@ -84,7 +69,7 @@ class TestMultiHeadSelfAttention:
             cols = slice(h * mhsa.d_head, (h + 1) * mhsa.d_head)
             scores = q[..., cols] @ k[..., cols].swapaxes(-1, -2) * (1.0 / np.sqrt(mhsa.d_head))
             if causal:
-                scores = scores + causal_mask(shape[-2], F64).data
+                scores = scores + np.triu(np.full(scores.shape[-2:], -np.inf), 1)
             p = np.exp(scores - scores.max(axis=-1, keepdims=True))
             ctx[..., cols] = (p / p.sum(axis=-1, keepdims=True)) @ v[..., cols]
         want = ctx @ mhsa.wo.w.data + mhsa.wo.b.data

@@ -114,9 +114,13 @@ def test_train_step_loss_is_the_mean_of_per_clip_losses_over_mixed_lengths(backb
         np.testing.assert_allclose(p.grad, np.clip(want_grad[name], -1, 1), rtol=1e-9, atol=1e-15, err_msg=name)
 
 
-# one node per head split or merge: a block that rebuilds a chain of layout
-# ops (reshape, transpose, reshape) goes over its preset's budget
-@pytest.mark.parametrize("preset,budget", [("xlstm-7", 250), ("transformer-4", 120)])
+# one node per head split or merge, per attention and per rotary pair swap:
+# a block that rebuilds a chain of layout or score/mask/softmax ops goes
+# over its preset's budget
+@pytest.mark.parametrize(
+    "preset,budget",
+    [("xlstm-7", 250), ("transformer-4", 100), ("transformer-4-rope", 150), ("conformer-4", 195)],
+)
 def test_train_step_graph_stays_within_its_node_budget(preset, budget, monkeypatch):
     model = build_model(read_config(resolve_config_arg(preset)).model_config(), seed=0)
     rng = np.random.default_rng(3)

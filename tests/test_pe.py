@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tfse import pe
+from tfse import tensor as T
+from tfse.attention import MultiHeadSelfAttention
 from tfse.errors import ConfigError
-from tfse.tensor import Tensor
+from tfse.tensor import Tensor, grad_check, grad_check_params
 
 
 class TestSinusoidalTable:
@@ -84,3 +86,27 @@ class TestRotary:
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
             pe.rotary_tables(4, 7, np.float64)
+
+    def test_matches_the_rotation_formula(self, rng):
+        # a rotation by -theta keeps norms and relative phases, but not this
+        x = rng.normal(size=(2, 3, 10, 8))
+        cos, sin = pe.rotary_tables(10, 8, np.float64)
+        y = pe.apply_rotary(Tensor(x), cos, sin).data
+        x0, x1 = x[..., 0::2], x[..., 1::2]
+        np.testing.assert_array_equal(y[..., 0::2], x0 * cos - x1 * sin)
+        np.testing.assert_array_equal(y[..., 1::2], x0 * sin + x1 * cos)
+
+    def test_gradients_match_finite_differences(self, rng):
+        cos, sin = pe.rotary_tables(5, 6, np.float64)
+        w = Tensor(rng.normal(size=(2, 5, 6)))
+        x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+        assert grad_check(lambda t: T.sum_(T.mul(pe.apply_rotary(t, cos, sin), w)), x) < 1e-6
+        mhsa = MultiHeadSelfAttention(8, 2, np.random.default_rng(7), np.float64)
+        xa = Tensor(rng.normal(size=(6, 8)))
+
+        def loss_fn():
+            y = mhsa(xa, causal=True, rope=True)
+            return T.sum_(T.mul(y, y))
+
+        errs = grad_check_params(loss_fn, mhsa.named_parameters(), h=1e-6)
+        assert max(errs.values()) < 1e-3, errs

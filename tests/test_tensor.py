@@ -110,7 +110,6 @@ UNARY_CASES = [
     ("relu", lambda x: T.relu(x), (0.3, 2.0)),
     ("silu", lambda x: T.silu(x), (-3.0, 3.0)),
     ("softplus", lambda x: T.softplus(x), (-3.0, 3.0)),
-    ("softmax", lambda x: T.softmax(x, axis=-1), (-2.0, 2.0)),
     ("reshape", lambda x: T.rearrange(x, (12,)), (-2.0, 2.0)),
     ("transpose", lambda x: T.rearrange(x, x.shape, (1, 0)), (-2.0, 2.0)),
     ("swapaxes", lambda x: T.rearrange(x, (3, 2, 2), (2, 1, 0)), (-2.0, 2.0)),
@@ -221,7 +220,8 @@ class TestGradientOracle:
 
         def f(t):
             h = T.layer_norm(T.matmul(t, w1), g, b)
-            return T.sum_(T.mul(T.softmax(h, axis=-1), T.silu(h)))
+            a = T.rearrange(h, (5, 2, 3), (1, 0, 2))  # two heads of three features
+            return T.sum_(T.mul(T.attention(a, T.silu(a), a, causal=True), T.silu(a)))
 
         assert grad_check(f, x) < 1e-6
 
@@ -308,11 +308,14 @@ class TestFusedNormAndConv:
     def test_each_op_records_one_node_and_none_without_grad(self, rng):
         x, gain, bias = t64(rng, 2, 6, 8), t64(rng, 8), t64(rng, 8)
         kernel = t64(rng, 3, 8)
-        norm = T.layer_norm(x, gain, bias, groups=2)
-        conv = T.depthwise_conv1d(x, kernel, bias)
-        assert _n_recorded(norm) == 1 and _n_recorded(conv) == 1
+        ops = (
+            lambda: T.layer_norm(x, gain, bias, groups=2),
+            lambda: T.depthwise_conv1d(x, kernel, bias),
+            lambda: T.attention(x, x, x, causal=True),
+        )
+        assert all(_n_recorded(op()) == 1 for op in ops)
         with no_grad():
-            for out in (T.layer_norm(x, gain, bias, groups=2), T.depthwise_conv1d(x, kernel, bias)):
+            for out in (op() for op in ops):
                 assert not out.requires_grad and out._grad_fn is None and out._parents == ()
 
     def test_backward_matches_the_composition(self, rng):
@@ -358,6 +361,52 @@ class TestFusedNormAndConv:
         x, w = Tensor(rng.normal(size=(2, 8, 3))), Tensor(rng.normal(size=(2, 8, 3)))
         err = grad_check(lambda t: T.sum_(T.mul(T.depthwise_conv1d(x, t), w)), t64(rng, 5, 3))
         assert err < 1e-6
+
+
+def ref_attention(q, k, v, causal):
+    """The score -> scale -> mask -> softmax -> @ v sequence that T.attention
+    fuses, in numpy: the scale is cast to the operands' dtype first."""
+    L, d = q.shape[-2:]
+    s = (q @ k.swapaxes(-1, -2)) * np.asarray(1.0 / np.sqrt(d), dtype=q.dtype)
+    if causal:
+        s = s + np.triu(np.full((L, L), -np.inf, dtype=q.dtype), 1)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["LD", "HLD", "NHLD"])
+    @pytest.mark.parametrize("L", [1, 70])
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "noncausal"])
+    def test_forward_is_the_composition_bit_for_bit(self, rng, dtype, lead, L, causal):
+        q, k, v = (rng.normal(size=(*lead, L, 8)).astype(dtype) for _ in range(3))
+        got = T.attention(Tensor(q), Tensor(k), Tensor(v), causal).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, ref_attention(q, k, v, causal))
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["q", "k", "v"])
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "noncausal"])
+    def test_gradients_match_finite_differences(self, rng, which, causal):
+        qkv = [Tensor(rng.normal(size=(2, 5, 3))) for _ in range(3)]
+        w = Tensor(rng.normal(size=(2, 5, 3)))
+
+        def f(t):
+            args = list(qkv)
+            args[which] = t
+            return T.sum_(T.mul(T.attention(*args, causal=causal), w))
+
+        x = qkv[which]
+        x.requires_grad = True
+        assert grad_check(f, x) < 1e-6
+
+    def test_causal_rows_never_read_later_frames(self, rng):
+        q, k, v = (rng.normal(size=(2, 12, 4)) for _ in range(3))
+        y1 = T.attention(Tensor(q), Tensor(k), Tensor(v), causal=True).data
+        for a in (q, k, v):
+            a[:, 6:] = rng.normal(size=(2, 6, 4))
+        y2 = T.attention(Tensor(q), Tensor(k), Tensor(v), causal=True).data
+        np.testing.assert_array_equal(y1[:, :6], y2[:, :6])
 
 
 # (input shape, shape, axes, to)
@@ -432,21 +481,6 @@ class TestGradCheckDetectsCorruption:
 
 
 class TestForwardSemantics:
-    def test_softmax_rows_sum_to_one(self, rng):
-        y = T.softmax(t64(rng, 5, 7), axis=-1)
-        np.testing.assert_allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
-
-    def test_softmax_neg_inf_becomes_exact_zero(self):
-        row = np.array([[1.0, -np.inf, 2.0]], dtype=F64)
-        y = T.softmax(Tensor(row), axis=-1)
-        assert y.data[0, 1] == 0.0
-        assert y.data[0].sum() == pytest.approx(1.0)
-
-    def test_softmax_fully_masked_row_is_zeros(self):
-        row = np.full((1, 4), -np.inf, dtype=F64)
-        y = T.softmax(Tensor(row), axis=-1)
-        np.testing.assert_array_equal(y.data, np.zeros((1, 4)))
-
     def test_causal_conv_never_reads_the_future(self, rng):
         x = Tensor(rng.normal(size=(10, 2)).astype(F64))
         k = Tensor(rng.normal(size=(4, 2)).astype(F64))
