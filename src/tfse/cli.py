@@ -18,11 +18,7 @@ import tempfile
 import numpy as np
 
 from . import dsp
-from .config import (
-    read_config,
-    resolve_config_arg,
-    shipped_config_names,
-)
+from .config import ATTENTION_BACKBONES, read_config, resolve_config_arg, shipped_config_names
 from .errors import ConfigError, DataError, TfseError
 from .model import build_model, count_params, enhance, load_model, param_count_str
 from .tensor import Tensor
@@ -342,7 +338,7 @@ def _cmd_synth_corpus(args) -> int:
 def _cmd_bench(args) -> int:
     import fcntl
 
-    from .evalbench import bench_model, measure_train_step
+    from .evalbench import measure_rtf, measure_train_step
 
     if args.config is None and args.checkpoint is None:
         raise ConfigError("bench: pass --config or --checkpoint")
@@ -359,23 +355,21 @@ def _cmd_bench(args) -> int:
         except (BlockingIOError, PermissionError):
             print("bench: another benchmark holds the lock; try again later", file=sys.stderr)
             return 2
-        sec_per_step = None
+        sps = ""
         if args.train_steps:
-            sec_per_step = measure_train_step(rc, steps=args.train_steps, warmup=2)
-        report = bench_model(
-            model,
-            rc.model_config().name,
-            args.lengths,
-            batch=args.batch,
-            runs=args.runs,
-            warmup=args.warmup,
-            include_stft=args.include_stft,
-            sec_per_step=sec_per_step,
-        )
+            sps = repr(measure_train_step(rc, steps=args.train_steps, warmup=2))
+        results = [
+            measure_rtf(model, L, batch=args.batch, runs=args.runs, warmup=args.warmup,
+                        include_stft=args.include_stft)
+            for L in args.lengths
+        ]
     finally:
         lock.close()
 
-    rows = report.csv_rows()
+    model_cols = f"{model.cfg.name},{count_params(model)},{str(model.cfg.causal).lower()}"
+    rows = ["model,params,causal,length_s,batch,runs,rtf,rtf_cv,sec_per_step"] + [
+        f"{model_cols},{r.length_s:g},{r.batch},{r.runs},{r.rtf!r},{r.cv!r},{sps}" for r in results
+    ]
     print("\n".join(rows))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -383,11 +377,9 @@ def _cmd_bench(args) -> int:
         print(f"wrote {args.out}")
 
     if args.assert_trends:
-        if len(report.rtf) < 2:
+        if len(results) < 2:
             raise ConfigError("bench: --assert-trends needs at least two lengths")
-        first, last = report.rtf[0], report.rtf[-1]
-        from .config import ATTENTION_BACKBONES
-
+        first, last = results[0], results[-1]
         if rc.backbone in ATTENTION_BACKBONES:
             ok = last.rtf > first.rtf
             kind = f"attention cost grows with length (rtf {first.rtf:.4g} -> {last.rtf:.4g})"
@@ -495,14 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-speech", type=_positive, default=12)
     s.add_argument("--n-noise", type=_positive, default=6)
     s.add_argument("--dur", type=_seconds, default=2.0, help="clip duration in seconds")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_non_negative, default=0)
     s.set_defaults(fn=_cmd_synth_corpus)
 
     sc = sub.add_parser("score", help="evaluate a checkpoint on a mixing manifest")
     sc.add_argument("--checkpoint", required=True)
     sc.add_argument("--manifest", required=True, help="lines: <clean> <noise> <snr_db>")
     sc.add_argument("--out", help="write results CSV here")
-    sc.add_argument("--seed", type=int, default=0)
+    sc.add_argument("--seed", type=_non_negative, default=0)
     sc.add_argument("--scorer", help="external scorer command; gets <ref.wav> <est.wav> appended")
     sc.set_defaults(fn=_cmd_score)
 

@@ -2,8 +2,9 @@
 
 One file drives model construction and training. Lines are
 `key = value`; blank lines and `#` comments are ignored; unknown or
-duplicate keys are rejected by name. Writing a config emits every key, so
-an echoed file reproduces the run exactly.
+duplicate keys, and in `read_config` invalid values, are rejected by name.
+Writing a config emits every key, so an echoed file reproduces the run
+exactly.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ class TrainConfig:
     checkpoint_every: int = 1
 
     def validate(self) -> "TrainConfig":
+        for key in ("seed", "max_steps"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}: must be >= 0, got {getattr(self, key)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -179,7 +183,10 @@ def read_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: config is not UTF-8 text ({e})") from None
-    return parse_config_text(text, source=path)
+    rc = parse_config_text(text, source=path)
+    rc.model_config()  # each view validates its keys, so a bad value fails on read
+    rc.train_config()
+    return rc
 
 
 def write_config(path: str, rc: RunConfig, header: str | None = None) -> None:

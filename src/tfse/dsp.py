@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import struct
-import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,28 +149,26 @@ def write_wav(path: str, w: Waveform, encoding: str = "pcm16") -> None:
 
     encoding 'pcm16' scales by 32768 and clips to int16 (round-trip error
     <= 2**-15); 'float32' stores IEEE floats untouched beyond the f64->f32
-    cast.
+    cast, with the 18-byte fmt chunk and the fact chunk that non-PCM
+    encodings carry. The RIFF size field is the file size minus 8.
     """
     if encoding == "pcm16":
-        q = np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype("<i2")
-        with wave.open(path, "wb") as out:
-            out.setnchannels(1)
-            out.setsampwidth(2)
-            out.setframerate(w.sample_rate)
-            out.writeframes(q.tobytes())
+        tag, width = _WAVE_FORMAT_PCM, 2
+        payload = np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
     elif encoding == "float32":
+        tag, width = _WAVE_FORMAT_IEEE_FLOAT, 4
         payload = w.samples.astype("<f4").tobytes()
-        n = len(payload)
-        hdr = b"RIFF" + struct.pack("<I", 4 + 26 + 12 + n) + b"WAVE"
-        fmt = b"fmt " + struct.pack(
-            "<IHHIIHH", 18, _WAVE_FORMAT_IEEE_FLOAT, 1, w.sample_rate, w.sample_rate * 4, 4, 32
-        ) + struct.pack("<H", 0)
-        fact = b"fact" + struct.pack("<II", 4, len(w))
-        data = b"data" + struct.pack("<I", n) + payload
-        with open(path, "wb") as fh:
-            fh.write(hdr + fmt + fact + data)
     else:
         raise FormatError(f"unknown wav encoding {encoding!r}")
+    fmt = struct.pack("<HHIIHH", tag, 1, w.sample_rate, w.sample_rate * width, width, 8 * width)
+    if tag == _WAVE_FORMAT_PCM:
+        chunks = [(b"fmt ", fmt)]
+    else:  # a non-PCM fmt chunk ends in a cbSize field, and a fact chunk gives the sample count
+        chunks = [(b"fmt ", fmt + struct.pack("<H", 0)), (b"fact", struct.pack("<I", len(w)))]
+    chunks.append((b"data", payload))
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 # ---- STFT --------------------------------------------------------------------
@@ -194,6 +191,21 @@ def num_frames(n_samples: int) -> int:
     return max(1, int(np.ceil(n_samples / HOP)))
 
 
+def frame_grid(x: np.ndarray, n: int, hop: int) -> np.ndarray:
+    """[frames, n] copy whose row m is x[m * hop:m * hop + n]; needs len(x) >= n."""
+    n_frames = 1 + (len(x) - n) // hop
+    return x[np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]]
+
+
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum [frames, n] rows in order into one float64 signal, row m at m * hop."""
+    count, n = frames.shape
+    out = np.zeros((count - 1) * hop + n, dtype=np.float64)
+    for m in range(count):
+        out[m * hop:m * hop + n] += frames[m]
+    return out
+
+
 def stft(w: Waveform) -> Spectrogram:
     """Analyze a 16 kHz waveform into [frames, 257] complex bins.
 
@@ -206,19 +218,13 @@ def stft(w: Waveform) -> Spectrogram:
     L = num_frames(n)
     padded = np.zeros((L - 1) * HOP + FRAME_LEN, dtype=np.float64)
     padded[:n] = w.samples
-    idx = np.arange(FRAME_LEN)[None, :] + HOP * np.arange(L)[:, None]
-    frames = padded[idx] * _WIN[None, :]
+    frames = frame_grid(padded, FRAME_LEN, HOP) * _WIN[None, :]
     return Spectrogram(np.fft.rfft(frames, axis=1), num_samples=n)
 
 
 def istft(spec: Spectrogram, num_samples: int | None = None) -> Waveform:
     """Windowed overlap-add synthesis, cropped to num_samples."""
-    vals = spec.values
-    L = vals.shape[0]
-    frames = np.fft.irfft(vals, n=FRAME_LEN, axis=1) * _WIN[None, :]
-    out = np.zeros((L - 1) * HOP + FRAME_LEN, dtype=np.float64)
-    for m in range(L):
-        out[m * HOP:m * HOP + FRAME_LEN] += frames[m]
+    out = overlap_add(np.fft.irfft(spec.values, n=FRAME_LEN, axis=1) * _WIN[None, :], HOP)
     n = spec.num_samples if num_samples is None else num_samples
     return Waveform(out[:n], SAMPLE_RATE)
 

@@ -11,9 +11,13 @@ upsample by 5, lowpass with a Kaiser-windowed sinc (beta 8.555, half-length
 10*max(up, down) taps at the upsampled rate, cutoff 1/(2*max(up, down))),
 downsample by 8.
 
+ESTOI frames and overlap-adds with dsp.frame_grid and dsp.overlap_add, the
+same grid and summation order as the STFT.
+
 Throughput: measure_rtf times mask inference (optionally the full STFT ->
 mask -> ISTFT path) against audio duration; measure_train_step times whole
-optimizer steps on pre-generated synthetic batches.
+optimizer steps on pre-generated synthetic batches. `tfse bench` calls
+both directly and writes their CSV rows itself.
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ from __future__ import annotations
 import math
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsp, training
 from .config import N_BINS, RunConfig
 from .errors import DataError, FormatError, LengthError, SampleRateError
-from .model import EnhancementModel, build_model, count_params, enhance, load_model
+from .model import EnhancementModel, build_model, enhance, load_model
 from .tensor import Tensor, no_grad
 
 ESTOI_SR = 10000
@@ -70,38 +74,26 @@ def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
 # ---- ESTOI ------------------------------------------------------------------
 
 
-def _hann_256() -> np.ndarray:
-    # 256-point symmetric Hann without the zero endpoints
-    return np.hanning(_FRAME + 2)[1:-1]
+_HANN = np.hanning(_FRAME + 2)[1:-1]  # 256-point symmetric Hann without the zero endpoints
 
 
-def _frame_signal(x: np.ndarray, win: np.ndarray) -> np.ndarray:
+def _frame_signal(x: np.ndarray) -> np.ndarray:
     if len(x) < _FRAME:
         raise LengthError(f"signal of {len(x)} samples is shorter than one {_FRAME}-sample frame")
-    n_frames = 1 + (len(x) - _FRAME) // _HOP
-    idx = np.arange(_FRAME)[None, :] + _HOP * np.arange(n_frames)[:, None]
-    return x[idx] * win[None, :]
+    return dsp.frame_grid(x, _FRAME, _HOP) * _HANN[None, :]
 
 
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop frames whose clean energy is more than 40 dB below the loudest,
     then overlap-add the survivors (windowed again) back to signals."""
-    win = _hann_256()
-    xf = _frame_signal(x, win)
-    yf = _frame_signal(y, win)
+    xf = _frame_signal(x)
+    yf = _frame_signal(y)
     energy = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + 1e-300)
     keep = energy > energy.max() - _DYN_RANGE_DB
     xf, yf = xf[keep], yf[keep]
     if not len(xf):
         raise LengthError("no frames above the silence threshold")
-    out_len = (len(xf) - 1) * _HOP + _FRAME
-    xs = np.zeros(out_len)
-    ys = np.zeros(out_len)
-    for i in range(len(xf)):
-        sl = slice(i * _HOP, i * _HOP + _FRAME)
-        xs[sl] += xf[i] * win
-        ys[sl] += yf[i] * win
-    return xs, ys
+    return dsp.overlap_add(xf * _HANN[None, :], _HOP), dsp.overlap_add(yf * _HANN[None, :], _HOP)
 
 
 def _band_matrix() -> np.ndarray:
@@ -121,7 +113,7 @@ _OBM = _band_matrix()
 
 
 def _band_envelopes(x: np.ndarray) -> np.ndarray:
-    frames = _frame_signal(x, _hann_256())
+    frames = _frame_signal(x)
     spec = np.fft.rfft(frames, n=_NFFT, axis=1)
     return np.sqrt(_OBM @ (np.abs(spec).T ** 2))  # [bands, frames]
 
@@ -258,51 +250,6 @@ def measure_train_step(
     for k in range(steps):
         step(k)
     return (time.perf_counter() - t0) / steps
-
-
-@dataclass
-class BenchReport:
-    model_name: str
-    params: int
-    causal: bool
-    batch: int
-    runs: int
-    rtf: list[RTFResult] = field(default_factory=list)
-    sec_per_step: float | None = None
-
-    def csv_rows(self) -> list[str]:
-        rows = ["model,params,causal,length_s,batch,runs,rtf,rtf_cv,sec_per_step"]
-        sps = "" if self.sec_per_step is None else repr(self.sec_per_step)
-        for r in self.rtf:
-            rows.append(
-                f"{self.model_name},{self.params},{str(self.causal).lower()},"
-                f"{r.length_s:g},{r.batch},{r.runs},{r.rtf!r},{r.cv!r},{sps}"
-            )
-        return rows
-
-
-def bench_model(
-    model: EnhancementModel,
-    model_name: str,
-    lengths_s,
-    batch: int = 4,
-    runs: int = 20,
-    warmup: int = 3,
-    include_stft: bool = False,
-    sec_per_step: float | None = None,
-    seed: int = 0,
-) -> BenchReport:
-    report = BenchReport(
-        model_name=model_name,
-        params=count_params(model),
-        causal=model.cfg.causal,
-        batch=batch,
-        runs=runs,
-        sec_per_step=sec_per_step,
-    )
-    for L in lengths_s:
-        report.rtf.append(measure_rtf(model, L, batch, runs, warmup, include_stft, seed))
-    return report
 
 
 # ---- evaluation harness ------------------------------------------------------

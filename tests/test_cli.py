@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tfse import cli
+from tfse.config import read_config
 from tfse.dsp import read_wav, write_wav
+from tfse.model import build_model, count_params
 from tfse.synth import tonal_speech
 
 
@@ -122,18 +124,47 @@ class TestVerify:
         assert "FAIL" in out and "negative-control" in out
 
 
+BENCH_HEADER = "model,params,causal,length_s,batch,runs,rtf,rtf_cv,sec_per_step"
+
+
+def _params(cfg_path: str) -> str:
+    return str(count_params(build_model(read_config(cfg_path).model_config(), seed=0)))
+
+
 class TestBench:
     def test_writes_csv(self, toy_cfg_path, tmp_path, capsys):
         out_csv = str(tmp_path / "bench.csv")
         code = cli.main([
-            "bench", "--config", toy_cfg_path, "--lengths", "0.5",
-            "--batch", "1", "--runs", "2", "--warmup", "1",
+            "bench", "--config", toy_cfg_path, "--lengths", "1,0.5",
+            "--batch", "2", "--runs", "3", "--warmup", "1",
             "--train-steps", "2", "--out", out_csv,
         ])
         assert code == 0
         rows = open(out_csv).read().splitlines()
-        assert rows[0].startswith("model,params,causal,")
-        assert len(rows) == 2
+        assert capsys.readouterr().out.splitlines() == rows + [f"wrote {out_csv}"]
+        assert rows[0] == BENCH_HEADER
+        assert len(rows) == 3  # one row per length, shortest first
+        params = _params(toy_cfg_path)
+        for row, length in zip(rows[1:], ("0.5", "1")):
+            cols = row.split(",")
+            assert cols[:6] == ["mamba-1", params, "true", length, "2", "3"]
+            assert all(repr(float(c)) == c for c in cols[6:])  # rtf, rtf_cv, sec_per_step
+            assert float(cols[6]) > 0 and float(cols[8]) > 0
+        assert rows[1].split(",")[8] == rows[2].split(",")[8]  # one step timing for every row
+
+    def test_blank_sec_per_step_without_train_steps(self, tmp_path, capsys):
+        cfg = tmp_path / "noncausal.cfg"
+        cfg.write_text("backbone = transformer\nblocks = 1\ncausal = false\nd_model = 16\nd_ff = 32\nheads = 2\n")
+        code = cli.main([
+            "bench", "--config", str(cfg), "--lengths", "0.5",
+            "--batch", "1", "--runs", "1", "--warmup", "0",
+        ])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == BENCH_HEADER and len(rows) == 2
+        cols = rows[1].split(",")
+        assert cols[:6] == ["transformer-1", _params(str(cfg)), "false", "0.5", "1", "1"]
+        assert cols[8] == ""
 
     def test_lock_contention(self, toy_cfg_path, tmp_path, capsys):
         with open(cli.BENCH_LOCK, "w") as holder:
@@ -179,6 +210,8 @@ BAD_NUMERIC_ARGS = {
     "n-noise-0": ["synth-corpus", "--out", "{tmp}/c", "--n-noise", "0", "--dur", "0.5"],
     "dur-0": ["synth-corpus", "--out", "{tmp}/c", "--n-speech", "1", "--n-noise", "1", "--dur", "0"],
     "dur-negative": ["synth-corpus", "--out", "{tmp}/c", "--n-speech", "1", "--n-noise", "1", "--dur", "-1"],
+    "synth-seed-negative": ["synth-corpus", "--out", "{tmp}/c", "--seed", "-1"],
+    "score-seed-negative": ["score", "--checkpoint", "{tmp}/ck", "--manifest", "{tmp}/m.txt", "--seed", "-1"],
 }
 
 
@@ -191,6 +224,17 @@ def test_bad_numeric_argument_is_a_usage_error(argv, toy_cfg_path, tmp_path, cap
         cli.main(argv)
     assert exc.value.code == 2
     assert "argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["seed = -1", "max_steps = -3"])
+@pytest.mark.parametrize("command", ["params", "train", "bench"])
+def test_bad_config_value_is_a_config_error(command, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"backbone = mamba\nblocks = 1\nd_model = 16\n{line}\n")
+    extra = {"params": [], "train": ["--out", str(tmp_path / "run")], "bench": ["--lengths", "0.5"]}
+    assert cli.main([command, "--config", str(cfg), *extra[command]]) == 2
+    key, value = line.split(" = ")
+    assert f"error: {key}: must be >= 0, got {value}" in capsys.readouterr().err
 
 
 class TestSynthCorpus:

@@ -143,6 +143,25 @@ class TestRunConfigViews:
         with pytest.raises(ConfigError, match="snr"):
             RunConfig(snr_lo=10, snr_hi=-10).train_config()
 
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("max_steps", -3)])
+    def test_negative_seed_and_step_cap_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be >= 0, got {value}$"):
+            RunConfig(**{key: value}).train_config()
+
+    def test_zero_seed_and_step_cap_accepted(self):
+        assert RunConfig(seed=0, max_steps=0).train_config().max_steps == 0
+
+
+class TestReadValidates:
+    @pytest.mark.parametrize("line, key", [
+        ("seed = -1", "seed"), ("max_steps = -3", "max_steps"), ("blocks = 0", "blocks"),
+    ])
+    def test_bad_value_fails_on_read_naming_the_key(self, tmp_path, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"backbone = mamba\n{line}\n")
+        with pytest.raises(ConfigError, match=key):
+            read_config(str(path))
+
 
 class TestShippedConfigs:
     def test_collection_is_present(self):

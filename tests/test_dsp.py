@@ -99,6 +99,26 @@ class TestStft:
         assert len(dsp.istft(dsp.stft(w), 5000)) == 5000
 
 
+class TestFrameGridAndOverlapAdd:
+    def test_rows_are_hop_spaced_slices_and_the_tail_is_dropped(self):
+        x = np.arange(11.0)
+        frames = dsp.frame_grid(x, 4, 3)
+        assert frames.shape == (3, 4)
+        for m in range(3):
+            assert np.array_equal(frames[m], x[3 * m:3 * m + 4])
+
+    def test_overlap_add_sums_each_row_at_its_hop(self):
+        out = dsp.overlap_add(np.ones((3, 4)), 2)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, [1, 1, 2, 2, 2, 2, 1, 1])
+
+    def test_overlap_add_of_the_grid_counts_frames_per_sample(self, rng):
+        x = rng.normal(size=1000)
+        frames = dsp.frame_grid(x, 256, 128)
+        back = dsp.overlap_add(frames, 128)
+        assert np.array_equal(back[128:-128], 2 * x[128:len(back) - 128])
+
+
 class TestMask:
     def test_self_mask_is_exactly_one(self, speech):
         spec = dsp.stft(speech)
@@ -282,6 +302,42 @@ class TestWavIo:
         blob[pos] = byte
         self._read_or_tfse_error(tmp_path, bytes(blob[:cut]))
         self._read_or_tfse_error(tmp_path, bytes(blob))
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    @pytest.mark.parametrize("n", [1, 255, 1234])
+    def test_riff_size_is_file_size_minus_8(self, tmp_path, rng, encoding, n):
+        import struct
+
+        path = tmp_path / "s.wav"
+        dsp.write_wav(str(path), dsp.Waveform(rng.uniform(-0.5, 0.5, n)), encoding)
+        blob = path.read_bytes()
+        assert struct.unpack("<I", blob[4:8])[0] == len(blob) - 8
+
+    def test_float32_header_carries_fmt_fact_and_data(self, tmp_path, rng):
+        import struct
+
+        path = tmp_path / "f.wav"
+        dsp.write_wav(str(path), dsp.Waveform(rng.uniform(-0.5, 0.5, 1234)), "float32")
+        blob = path.read_bytes()
+        assert len(blob) == 4994 and struct.unpack("<I", blob[4:8])[0] == 4986
+        assert blob[12:20] == b"fmt " + struct.pack("<I", 18)
+        assert struct.unpack("<HHIIHHH", blob[20:38]) == (3, 1, 16000, 64000, 4, 32, 0)
+        assert blob[38:50] == b"fact" + struct.pack("<II", 4, 1234)
+        assert blob[50:58] == b"data" + struct.pack("<I", 4936)
+
+    @pytest.mark.parametrize("n", [1, 255, 1234])
+    def test_pcm16_bytes_equal_stdlib_wave(self, tmp_path, rng, n):
+        import wave
+
+        w = dsp.Waveform(rng.uniform(-1.2, 1.2, n))
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        dsp.write_wav(str(ours), w, "pcm16")
+        with wave.open(str(theirs), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(dsp.SAMPLE_RATE)
+            fh.writeframes(np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype("<i2").tobytes())
+        assert ours.read_bytes() == theirs.read_bytes()
 
     def test_stdlib_wave_reads_our_pcm16(self, tmp_path, rng):
         import wave

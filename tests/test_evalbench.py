@@ -1,5 +1,5 @@
 """Evaluation and benchmark harness tests: intelligibility scorer sanity,
-resampler behavior, timing report plumbing, and scoring tables."""
+resampler behavior, the timers, and scoring tables."""
 
 import sys
 
@@ -12,7 +12,6 @@ from tfse.config import RunConfig
 from tfse.dsp import Waveform, mix_at_snr, write_wav
 from tfse.errors import DataError, FormatError, LengthError, SampleRateError, TfseError
 from tfse.evalbench import (
-    BenchReport,
     RTFResult,
     estoi,
     external_score,
@@ -155,26 +154,6 @@ class TestTiming:
         )
         sec = measure_train_step(cfg, steps=2, warmup=1, frames=16)
         assert sec > 0
-
-    def test_report_csv_shape(self):
-        rep = BenchReport(
-            model_name="mamba-1", params=1234, causal=True, batch=2, runs=3,
-            rtf=[RTFResult(1.0, 0.05, 0.01, 3, 2), RTFResult(2.0, 0.06, 0.01, 3, 2)],
-            sec_per_step=0.5,
-        )
-        rows = rep.csv_rows()
-        assert rows[0] == "model,params,causal,length_s,batch,runs,rtf,rtf_cv,sec_per_step"
-        assert len(rows) == 3
-        assert rows[1].startswith("mamba-1,1234,true,1,2,3,")
-        assert rows[1].endswith(",0.5")
-        assert float(rows[1].split(",")[6]) == 0.05
-
-    def test_report_csv_blank_sec_per_step(self):
-        rep = BenchReport(
-            model_name="m", params=1, causal=False, batch=1, runs=1,
-            rtf=[RTFResult(1.0, 0.1, 0.0, 1, 1)],
-        )
-        assert rep.csv_rows()[1].endswith(",")
 
 
 class TestEvalManifest:
