@@ -20,7 +20,7 @@ import numpy as np
 from . import dsp
 from .config import ATTENTION_BACKBONES, read_config, resolve_config_arg, shipped_config_names
 from .errors import ConfigError, DataError, TfseError
-from .model import build_model, count_params, enhance, load_model, param_count_str
+from .model import CONFIG_FILE, build_model, count_params, enhance, load_model, param_count_str
 from .tensor import Tensor
 
 BENCH_LOCK = os.path.join(tempfile.gettempdir(), "tfse-bench.lock")
@@ -342,6 +342,9 @@ def _cmd_bench(args) -> int:
 
     if args.config is None and args.checkpoint is None:
         raise ConfigError("bench: pass --config or --checkpoint")
+    if args.config is None and args.train_steps:  # measure_train_step builds afresh from the config's seed
+        cfg = os.path.join(args.checkpoint, CONFIG_FILE)
+        raise ConfigError(f"bench: --train-steps times a fresh build, not the checkpoint's weights; use --config {cfg}")
     if args.config is not None:
         rc = read_config(resolve_config_arg(args.config))
         model = build_model(rc.model_config(), seed=rc.seed)
@@ -469,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--runs", type=_positive, default=20)
     b.add_argument("--warmup", type=_non_negative, default=3)
     b.add_argument("--include-stft", action="store_true", help="time the full waveform path")
-    b.add_argument("--train-steps", type=_non_negative, default=0, help="also time N optimizer steps")
+    b.add_argument("--train-steps", type=_non_negative, default=0, help="also time N optimizer steps (needs --config)")
     b.add_argument("--out", help="write results CSV here")
     b.add_argument("--assert-trends", action="store_true", help="fail if cost scaling looks wrong")
     b.set_defaults(fn=_cmd_bench)

@@ -24,6 +24,7 @@ PE_KINDS = ("none", "sin", "rope")
 LOSS_KINDS = ("mask-mse", "masked-magnitude-mse")
 
 N_BINS = 257  # one-sided bins of the 512-point analysis
+QKV_BLOCK_SIZE = 4  # xLSTM q/k/v projections are block-diagonal in blocks of this many features
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,8 @@ class ModelConfig:
             raise ConfigError(f"pe: sin needs an even d_model, got {self.d_model}")
         if self.backbone in ("xlstm", "c-bixlstm", "p-bixlstm"):
             d_inner = int(round(self.proj_factor * self.d_model))
-            if d_inner % heads:
-                raise ConfigError(f"heads: inner dim {d_inner} not divisible by {heads}")
-            if d_inner % 4:
-                raise ConfigError(f"proj_factor: inner dim {d_inner} not divisible by the q/k/v block size 4")
+            if d_inner % (heads * QKV_BLOCK_SIZE):
+                raise ConfigError(f"heads: d_inner {d_inner} not a multiple of {heads} heads x block size {QKV_BLOCK_SIZE}")
         return self
 
 

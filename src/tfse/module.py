@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -88,20 +87,8 @@ class DepthwiseConv1d(Module):
 
 
 class BlockDiagonal(Module):
-    """Head-wise block-diagonal linear map.
+    """Weights w [n_blocks, bs, bs] of a block-diagonal map, no bias: block i maps features
+    [i * bs, (i + 1) * bs). The caller applies w to a block-major input (xlstm.MLSTMCore)."""
 
-    The feature axis is split into n_blocks contiguous chunks of block_size;
-    chunk i is mapped by its own [block_size, block_size] matrix. No bias.
-    """
-
-    def __init__(self, d: int, block_size: int, rng: np.random.Generator, dtype):
-        if d % block_size:
-            raise ConfigError(f"feature dim {d} not divisible by block size {block_size}")
-        self.block_size = block_size
-        self.n_blocks = d // block_size
-        self.w = _uniform(rng, (self.n_blocks, block_size, block_size), block_size, dtype)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        # the rows of all leading axes fold into one: [..., d] -> [nb, N, bs]
-        yb = T.matmul(T.rearrange(x, (-1, self.n_blocks, self.block_size), (1, 0, 2)), self.w)
-        return T.rearrange(yb, yb.shape, (1, 0, 2), x.shape)
+    def __init__(self, n_blocks: int, block_size: int, rng: np.random.Generator, dtype):
+        self.w = _uniform(rng, (n_blocks, block_size, block_size), block_size, dtype)

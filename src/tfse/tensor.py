@@ -297,9 +297,11 @@ def mul(a, b) -> Tensor:
     b = _coerce(b, a)
     ad, bd = a.data, b.data
 
-    def grad_fn(g):
-        a._accumulate(g * bd)
-        b._accumulate(g * ad)
+    def grad_fn(g):  # no product for an operand that takes no gradient (a constant)
+        if a.requires_grad:
+            a._accumulate(g * bd)
+        if b.requires_grad:
+            b._accumulate(g * ad)
 
     return _make(ad * bd, (a, b), grad_fn, "mul")
 
@@ -311,8 +313,10 @@ def div(a, b) -> Tensor:
     out = ad / bd
 
     def grad_fn(g):
-        a._accumulate(g / bd)
-        b._accumulate(-g * out / bd)
+        if a.requires_grad:
+            a._accumulate(g / bd)
+        if b.requires_grad:
+            b._accumulate(-g * out / bd)
 
     return _make(out, (a, b), grad_fn, "div")
 

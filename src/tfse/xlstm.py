@@ -43,11 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import QKV_BLOCK_SIZE
 from .errors import ConfigError, NumericError
 from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
-QKV_BLOCK_SIZE = 4
 CONV_WIDTH = 4
 CHUNK = 64  # frames per chunk of mlstm_scan; the grid starts at t = 0
 
@@ -211,6 +211,11 @@ class MLSTMCore(Module):
     scan (mlstm_scan) -> group norm (gain only) -> learnable skip from the
     conv branch -> SiLU(gate branch) -> down-projection.
 
+    q, k and v share one block-major copy of the conv output, [n_blocks,
+    N * L, QKV_BLOCK_SIZE]: each is one batched matmul by its block weights,
+    then one copy to the scan's heads-first [N * H, L, d_head]. Each head must
+    hold whole blocks, so d_inner must be a multiple of heads x QKV_BLOCK_SIZE.
+
     The scan's output is laid out d-major (feature d * heads + head), and
     the norm takes groups of d_head consecutive features, so each group
     holds d_head / heads features of every head, not one head's features.
@@ -218,17 +223,18 @@ class MLSTMCore(Module):
 
     def __init__(self, d_model: int, rng, dtype, heads: int = 4, proj_factor: float = 2.0):
         d_inner = int(round(proj_factor * d_model))
-        if d_inner % heads:
-            raise ConfigError(f"d_inner {d_inner} not divisible by {heads} heads")
+        if d_inner % (heads * QKV_BLOCK_SIZE):
+            raise ConfigError(f"d_inner {d_inner} not a multiple of {heads} heads x q/k/v block size {QKV_BLOCK_SIZE}")
         self.heads = heads
         self.d_inner = d_inner
         self.d_head = d_inner // heads
         self.norm = LayerNorm(d_model, dtype)
         self.up_proj = Linear(d_model, 2 * d_inner, rng, dtype, bias=False)
         self.conv = DepthwiseConv1d(d_inner, CONV_WIDTH, rng, dtype)
-        self.q_proj = BlockDiagonal(d_inner, QKV_BLOCK_SIZE, rng, dtype)
-        self.k_proj = BlockDiagonal(d_inner, QKV_BLOCK_SIZE, rng, dtype)
-        self.v_proj = BlockDiagonal(d_inner, QKV_BLOCK_SIZE, rng, dtype)
+        n_blocks = d_inner // QKV_BLOCK_SIZE
+        self.q_proj = BlockDiagonal(n_blocks, QKV_BLOCK_SIZE, rng, dtype)
+        self.k_proj = BlockDiagonal(n_blocks, QKV_BLOCK_SIZE, rng, dtype)
+        self.v_proj = BlockDiagonal(n_blocks, QKV_BLOCK_SIZE, rng, dtype)
         self.i_gate = Linear(d_inner, heads, rng, dtype)
         self.f_gate = Linear(d_inner, heads, rng, dtype)
         self.skip = Tensor(np.ones(d_inner, dtype=dtype), requires_grad=True)
@@ -238,17 +244,15 @@ class MLSTMCore(Module):
     def __call__(self, x: Tensor) -> Tensor:
         """x [..., L, d_model] (leading axes are batch axes)."""
         *lead, L, _ = x.shape
-        H, dh, di = self.heads, self.d_head, self.d_inner
+        H, dh, di, bs = self.heads, self.d_head, self.d_inner, QKV_BLOCK_SIZE
         up = self.up_proj(self.norm(x))  # [..., L, 2*d_inner]
         z = up[..., di:]
         xc = T.silu(self.conv(up[..., :di], causal=True))
-
-        def heads_first(t: Tensor) -> Tensor:  # [..., L, H * dh] -> [N * H, L, dh], clips folded into heads
-            return T.rearrange(t, (-1, L, H, dh), (0, 2, 1, 3), (-1, L, dh))
-
-        q = heads_first(self.q_proj(xc))
-        k = heads_first(T.mul(self.k_proj(xc), dh ** -0.5))
-        v = heads_first(self.v_proj(xc))
+        xb = T.rearrange(xc, (-1, di // bs, bs), (1, 0, 2))  # block-major [nb, N * L, bs]
+        to_heads = (H, dh // bs, -1, L, bs), (2, 0, 3, 1, 4), (-1, L, dh)  # -> [N * H, L, dh], clips folded into heads
+        q = T.rearrange(T.matmul(xb, self.q_proj.w), *to_heads)
+        k = T.rearrange(T.mul(T.matmul(xb, self.k_proj.w), dh ** -0.5), *to_heads)
+        v = T.rearrange(T.matmul(xb, self.v_proj.w), *to_heads)
         gates = (-1, L, H), (0, 2, 1), (-1, L)  # [..., L, H] -> [N * H, L]
         ig = T.rearrange(self.i_gate(xc), *gates)
         fg = T.rearrange(self.f_gate(xc), *gates)

@@ -226,6 +226,22 @@ def test_bad_numeric_argument_is_a_usage_error(argv, toy_cfg_path, tmp_path, cap
     assert "argument --" in capsys.readouterr().err
 
 
+# flags that parse but do not go together: a config error (exit 2) before any work
+BAD_FLAG_COMBINATIONS = {
+    "no-model": (["bench", "--lengths", "0.5"], "pass --config or --checkpoint"),
+    "checkpoint-train-steps": (
+        ["bench", "--checkpoint", "{tmp}/ck", "--train-steps", "2"], "use --config {tmp}/ck/config.cfg"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_FLAG_COMBINATIONS.values(), ids=BAD_FLAG_COMBINATIONS.keys())
+def test_bad_flag_combination_is_a_config_error(argv, message, tmp_path, capsys):
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bench: ") and message.format(tmp=tmp_path) in err
+
+
 @pytest.mark.parametrize("line", ["seed = -1", "max_steps = -3"])
 @pytest.mark.parametrize("command", ["params", "train", "bench"])
 def test_bad_config_value_is_a_config_error(command, line, tmp_path, capsys):

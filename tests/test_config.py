@@ -112,6 +112,21 @@ class TestModelValidation:
         with pytest.raises(ConfigError, match="proj_factor"):
             rc.model_config()
 
+    @pytest.mark.parametrize("backbone", ["xlstm", "c-bixlstm", "p-bixlstm"])
+    @pytest.mark.parametrize("d_model, proj_factor, ok", [
+        (10, 1.1, False),  # d_inner 11: not a multiple of the 4 heads
+        (24, 1.0, False),  # d_head 6: not whole q/k/v blocks of 4
+        (32, 1.0, True),  # d_head 8: two blocks per head
+    ], ids=["d_inner-11", "d_head-6", "d_head-8"])
+    def test_xlstm_d_inner_is_a_multiple_of_heads_times_block_size(self, backbone, d_model, proj_factor, ok):
+        causal = backbone == "xlstm"
+        cfg = ModelConfig(backbone=backbone, causal=causal, d_model=d_model, heads=4, proj_factor=proj_factor)
+        if ok:
+            cfg.validate()
+            return
+        with pytest.raises(ConfigError, match=r"4 heads x block size 4"):
+            cfg.validate()
+
     def test_default_heads_resolve_per_family(self):
         assert ModelConfig(backbone="transformer").resolved_heads() == 8
         assert ModelConfig(backbone="xlstm").resolved_heads() == 4

@@ -9,9 +9,9 @@ import pytest
 from tfse import tensor as T
 from tfse import xlstm
 from tfse.errors import ConfigError
-from tfse.module import BlockDiagonal
 from tfse.xlstm import (
     CHUNK,
+    QKV_BLOCK_SIZE,
     CBiXLSTMBlock,
     MLSTMBlock,
     MLSTMCore,
@@ -259,21 +259,34 @@ class TestMLSTMCore:
         with pytest.raises(ConfigError, match="heads"):
             MLSTMCore(10, np.random.default_rng(0), F64, heads=4, proj_factor=1.1)
 
-    def test_rejects_indivisible_qkv_blocks(self):
-        with pytest.raises(ConfigError, match="block size"):
-            BlockDiagonal(10, 4, np.random.default_rng(0), F64)
+    def test_rejects_indivisible_qkv_blocks(self):  # d_head 6 is not whole blocks of 4
+        with pytest.raises(ConfigError, match="block size 4"):
+            MLSTMCore(24, np.random.default_rng(0), F64, heads=4, proj_factor=1.0)
 
     @pytest.mark.parametrize("shape", [(7, 12), (2, 7, 12)], ids=["2d", "3d"])
-    def test_block_i_maps_features_i_times_block_size_onward(self, rng, shape):
-        bd = BlockDiagonal(12, 4, np.random.default_rng(3), F64)
-        x = rng.normal(size=shape)
-        want = np.empty_like(x)
-        for i in range(bd.n_blocks):  # one block at a time on its own run of features
-            cols = slice(i * bd.block_size, (i + 1) * bd.block_size)
-            want[..., cols] = x[..., cols] @ bd.w.data[i]
+    def test_block_i_maps_features_i_times_block_size_onward(self, rng, shape, monkeypatch):
+        core = MLSTMCore(12, np.random.default_rng(3), F64, heads=3, proj_factor=2.0)  # d_head 8: 2 blocks a head
+        H, dh, di, bs = core.heads, core.d_head, core.d_inner, QKV_BLOCK_SIZE
+        scanned = []
+
+        def recorded(q, k, v, ig, fg):
+            scanned.append((q.data, k.data, v.data))
+            return mlstm_scan(q, k, v, ig, fg)
+
+        monkeypatch.setattr(xlstm, "mlstm_scan", recorded)
+        x = Tensor(rng.normal(size=shape))
         with no_grad():
-            got = bd(Tensor(x)).data
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+            core(x)
+            xc = T.silu(core.conv(core.up_proj(core.norm(x))[..., :di], causal=True)).data
+        L = shape[-2]
+        for proj, got, scale in zip((core.q_proj, core.k_proj, core.v_proj), scanned[0], (1.0, dh ** -0.5, 1.0)):
+            want = np.empty_like(xc)
+            for i in range(di // bs):  # one block at a time on its own run of features
+                cols = slice(i * bs, (i + 1) * bs)
+                want[..., cols] = xc[..., cols] @ proj.w.data[i] * scale
+            # heads-first, clips folded into heads: [..., L, H * dh] -> [N * H, L, dh]
+            want = want.reshape(-1, L, H, dh).transpose(0, 2, 1, 3).reshape(-1, L, dh)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_gradients(self, rng):
         core = MLSTMCore(8, np.random.default_rng(4), F64, heads=2, proj_factor=2.0)
