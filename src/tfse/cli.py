@@ -342,6 +342,8 @@ def _cmd_bench(args) -> int:
 
     if args.config is None and args.checkpoint is None:
         raise ConfigError("bench: pass --config or --checkpoint")
+    if args.config is not None and args.checkpoint is not None:  # building from --config would ignore it
+        raise ConfigError("bench: pass --config or --checkpoint, not both")
     if args.config is None and args.train_steps:  # measure_train_step builds afresh from the config's seed
         cfg = os.path.join(args.checkpoint, CONFIG_FILE)
         raise ConfigError(f"bench: --train-steps times a fresh build, not the checkpoint's weights; use --config {cfg}")

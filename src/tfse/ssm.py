@@ -12,14 +12,15 @@ for bounded inputs.
 selective_scan_seq builds the recurrence from graph primitives one step at a
 time and is the reference. selective_scan_par is the engine the models use:
 one graph node whose forward runs the recurrence in place over one
-d_inner x d_state state per clip of a batch, O(L) work, and keeps the
-L x d_inner x d_state state history only when the graph is being recorded.
-Its backward is the reverse scan
+d_inner x d_state state per clip of a batch, O(L) work. When the graph is
+recorded it keeps only the state entering each SEG-frame segment, and its
+backward recomputes a segment's states from it, bit for bit, before the
+reverse scan over that segment
 
     dh_t = C_t (x) dy_t + exp(delta_{t+1} * A) * dh_{t+1}
 
-from which the gradients of all six inputs follow in closed form (the
-selective-scan kernel of Gu & Dao, Mamba, arXiv 2312.00752, section 3.3).
+from which the gradients of all six inputs follow in closed form. The Mamba
+kernel recomputes its states the same way (Gu & Dao, arXiv 2312.00752, 3.3.2).
 Causal prefixes are bit-exact: h_t is computed from inputs up to t only,
 always in the same order, so frames after t cannot change y_t.
 """
@@ -34,6 +35,8 @@ from . import tensor as T
 from .errors import NumericError
 from .module import DepthwiseConv1d, LayerNorm, Linear, Module
 from .tensor import Tensor
+
+SEG = 16  # frames per segment whose entering state the fused scan keeps for its backward; from t = 0
 
 
 def _check_finite(name: str, *tensors: Tensor) -> None:
@@ -84,58 +87,71 @@ def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
     L, N, d_inner = ud.shape
     du = dt * ud
     shape = (N,) + At.shape
-    hs = np.empty((L,) + shape, dtype=ud.dtype) if T.is_recording(inputs) else None
+    starts = np.empty((-(-L // SEG),) + shape, dtype=ud.dtype) if T.is_recording(inputs) else None
     y = np.empty_like(ud)
     dt_t, du_t, B_t = dt[:, :, None, :], du[:, :, None, :], Bd[:, :, :, None]
     C_t, y_t = Cd[:, :, None, :], y[:, :, None, :]
     h, a, outer = (np.zeros(shape, dtype=ud.dtype) for _ in range(3))
-    for t in range(L):
+
+    def advance(h, t, a, out):  # h_t into out, exp(delta_t * A) into a; the backward recomputes with it
         np.exp(np.multiply(dt_t[t], At, out=a), out=a)
-        h = np.multiply(h, a, out=h if hs is None else hs[t])
+        np.multiply(h, a, out=out)
         # (delta_t u_t) B_t as a broadcast copy scaled in place: numpy runs
         # that faster than a multiply that broadcasts both operands
         np.copyto(outer, du_t[t])
-        outer *= B_t[t]
-        h += outer
+        np.multiply(outer, B_t[t], out=outer)
+        out += outer
+        return out
+
+    for t in range(L):
+        if starts is not None and t % SEG == 0:
+            starts[t // SEG] = h
+        advance(h, t, a, h)
         np.matmul(C_t[t], h, out=y_t[t])
     y += ud * Dd
 
     def grad_fn(g):
         g = _time_major(g)
-        # One reverse pass over the frames. dh_t, the gradient of h_t, gives
-        # frame t its u, B and C gradients and carries to t-1 as
-        # dh_t * exp(delta_t * A); that carry times h_{t-1} is the gradient
-        # of delta_t * A taken before the exp, which gives the delta and A
-        # gradients. exp(delta_t * A) is formed again rather than kept from
-        # the forward, and every reduction runs on one frame's slices while
-        # they are in cache: reading and writing whole-history buffers costs
-        # more than the exps.
+        # One reverse pass over the segments: each first recomputes its h_t
+        # and exp(delta_t * A) from its kept start, by the forward's own step.
+        # dh_t, the gradient of h_t, gives frame t its u, B and C gradients
+        # and carries to t-1 as dh_t * exp(delta_t * A); that carry times
+        # h_{t-1} is the gradient of delta_t * A taken before the exp, which
+        # gives the delta and A gradients. Every reduction runs on one frame's
+        # slices while they are in cache.
         d_du, d_delta, dB, dC = np.empty_like(ud), np.empty_like(ud), np.empty_like(Bd), np.empty_like(Cd)
         dA_sum = np.zeros_like(At)
         g_t, g_col = g[:, :, None, :], g[:, :, :, None]
         C_col, B_row, du_col = Cd[:, :, :, None], Bd[:, :, None, :], du[:, :, :, None]
         d_du_t, dB_t, dC_t = d_du[:, :, None, :], dB[:, :, :, None], dC[:, :, :, None]
-        dh, tmp, a = (np.zeros(shape, dtype=ud.dtype) for _ in range(3))
-        for t in range(L - 1, -1, -1):
-            np.copyto(tmp, g_t[t])
-            tmp *= C_col[t]
-            dh += tmp
-            np.matmul(B_row[t], dh, out=d_du_t[t])
-            np.matmul(dh, du_col[t], out=dB_t[t])
-            np.matmul(hs[t], g_col[t], out=dC_t[t])
-            dh *= np.exp(np.multiply(dt_t[t], At, out=a), out=a)  # carry to t-1
-            if t:
-                d_pre = np.multiply(dh, hs[t - 1], out=tmp)
-                np.einsum("nji,ji->ni", d_pre, At, out=d_delta[t])
-                dA_sum += np.einsum("ni,nji->ji", dt[t], d_pre)
+        dh, tmp = np.zeros(shape, dtype=ud.dtype), np.empty(shape, dtype=ud.dtype)
+        hseg, aseg = (np.empty((min(SEG, L),) + shape, dtype=ud.dtype) for _ in range(2))
+        for s in reversed(range(len(starts))):
+            t0, n = s * SEG, min(SEG, L - s * SEG)
+            h = starts[s]  # read, never written
+            for j in range(n):
+                h = advance(h, t0 + j, aseg[j], hseg[j])
+            for j in reversed(range(n)):
+                t = t0 + j
+                np.copyto(tmp, g_t[t])
+                tmp *= C_col[t]
+                dh += tmp
+                np.matmul(B_row[t], dh, out=d_du_t[t])
+                np.matmul(dh, du_col[t], out=dB_t[t])
+                np.matmul(hseg[j], g_col[t], out=dC_t[t])
+                dh *= aseg[j]  # carry to t-1
+                if t:
+                    d_pre = np.multiply(dh, hseg[j - 1] if j else starts[s], out=tmp)
+                    np.einsum("nji,ji->ni", d_pre, At, out=d_delta[t])
+                    dA_sum += np.einsum("ni,nji->ji", dt[t], d_pre)
         d_delta[0] = 0.0  # h_{-1} = 0
         d_delta += d_du * ud
         d_du *= dt
         d_du += g * Dd
         for x, dx in ((u, d_du), (delta, d_delta), (B, dB), (C, dC)):
-            x._accumulate(dx.swapaxes(0, 1).reshape(x.shape))
-        A._accumulate(dA_sum.T)
-        D._accumulate((g * ud).sum(axis=(0, 1)))
+            x._accumulate(dx.swapaxes(0, 1).reshape(x.shape), owned=True)
+        A._accumulate(dA_sum.T, owned=True)
+        D._accumulate((g * ud).sum(axis=(0, 1)), owned=True)
 
     return T._make(y.swapaxes(0, 1).reshape(u.shape), inputs, grad_fn, "selective_scan")
 

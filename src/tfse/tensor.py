@@ -10,8 +10,11 @@ backward each: scaled dot-product attention, (grouped) layer norm and
 depthwise 1-D convolution.
 
 Gradient accumulation is additive: repeated backward() calls keep adding to
-leaf .grad buffers until zero_grad(). Intermediate nodes have their grads
-cleared at the start of each backward pass.
+leaf .grad buffers until zero_grad(). Intermediate grads are scratch: cleared
+at the start of each backward pass and freed as each node's backward consumes
+its own. _accumulate keeps an array an op allocated for one parent alone
+(owned=True) as that parent's first .grad; a g passed through to a parent, a
+broadcast view or a slice of a larger buffer is copied, as others may hold it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def pin_malloc_thresholds() -> None:
 
     By default glibc serves a large allocation by mmap and unmaps it on
     free until a free of that size raises its dynamic threshold, so whether
-    an op's per-call temporaries (scan histories, einsum outputs, gradient
+    an op's per-call temporaries (scan states, einsum outputs, gradient
     buffers) are faulted in afresh on every call depends on what the
     process freed before. Fixed thresholds make it the same for every
     process. Nothing is done off glibc, or when the user has set either
@@ -149,14 +152,14 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         if not self.requires_grad:
             return
         g = _unbroadcast(np.asarray(g), self.data.shape)
         if g.shape != self.data.shape:
             raise GraphError(f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = g if owned and g.dtype == self.data.dtype else np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
@@ -253,7 +256,7 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
     Leaf gradients add onto any existing .grad (call zero_grad between
-    steps); intermediate-node grads are scratch and reset per call.
+    steps); an intermediate node's grad is freed once its backward has run.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -265,6 +268,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(graph.order):
         if node._grad_fn is not None and node.grad is not None:
             node._grad_fn(node.grad)
+            node.grad = None
 
 
 # ---- arithmetic -------------------------------------------------------------
@@ -285,9 +289,10 @@ def sub(a, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _coerce(a, b)
     b = _coerce(b, a)
 
-    def grad_fn(g):
+    def grad_fn(g):  # no -g for a b that takes no gradient (a loss target)
         a._accumulate(g)
-        b._accumulate(-g)
+        if b.requires_grad:
+            b._accumulate(-g, owned=True)
 
     return _make(a.data - b.data, (a, b), grad_fn, "sub")
 
@@ -299,9 +304,9 @@ def mul(a, b) -> Tensor:
 
     def grad_fn(g):  # no product for an operand that takes no gradient (a constant)
         if a.requires_grad:
-            a._accumulate(g * bd)
+            a._accumulate(g * bd, owned=True)
         if b.requires_grad:
-            b._accumulate(g * ad)
+            b._accumulate(g * ad, owned=True)
 
     return _make(ad * bd, (a, b), grad_fn, "mul")
 
@@ -314,16 +319,16 @@ def div(a, b) -> Tensor:
 
     def grad_fn(g):
         if a.requires_grad:
-            a._accumulate(g / bd)
+            a._accumulate(g / bd, owned=True)
         if b.requires_grad:
-            b._accumulate(-g * out / bd)
+            b._accumulate(-g * out / bd, owned=True)
 
     return _make(out, (a, b), grad_fn, "div")
 
 
 def neg(a: Tensor) -> Tensor:
     def grad_fn(g):
-        a._accumulate(-g)
+        a._accumulate(-g, owned=True)
 
     return _make(-a.data, (a,), grad_fn, "neg")
 
@@ -335,8 +340,10 @@ def maximum(a, b) -> Tensor:
     take_a = a.data >= b.data
 
     def grad_fn(g):
-        a._accumulate(g * take_a)
-        b._accumulate(g * ~take_a)
+        if a.requires_grad:
+            a._accumulate(g * take_a, owned=True)
+        if b.requires_grad:
+            b._accumulate(g * ~take_a, owned=True)
 
     return _make(np.maximum(a.data, b.data), (a, b), grad_fn, "maximum")
 
@@ -345,7 +352,7 @@ def abs_(a: Tensor) -> Tensor:
     sgn = np.sign(a.data)
 
     def grad_fn(g):
-        a._accumulate(g * sgn)
+        a._accumulate(g * sgn, owned=True)
 
     return _make(np.abs(a.data), (a,), grad_fn, "abs")
 
@@ -357,7 +364,7 @@ def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
 
     def grad_fn(g):
-        a._accumulate(g * out)
+        a._accumulate(g * out, owned=True)
 
     return _make(out, (a,), grad_fn, "exp")
 
@@ -379,7 +386,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_nd(a.data)
 
     def grad_fn(g):
-        a._accumulate(g * out * (1.0 - out))
+        a._accumulate(g * out * (1.0 - out), owned=True)
 
     return _make(out, (a,), grad_fn, "sigmoid")
 
@@ -388,7 +395,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def grad_fn(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * mask, owned=True)
 
     return _make(np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False), (a,), grad_fn, "relu")
 
@@ -398,7 +405,7 @@ def silu(a: Tensor) -> Tensor:
     out = a.data * s
 
     def grad_fn(g):
-        a._accumulate(g * (s + out * (1.0 - s)))
+        a._accumulate(g * (s + out * (1.0 - s)), owned=True)
 
     return _make(out, (a,), grad_fn, "silu")
 
@@ -409,7 +416,7 @@ def softplus(a: Tensor) -> Tensor:
     out = np.log1p(e) + np.maximum(x, 0.0)
 
     def grad_fn(g):
-        a._accumulate(g * _sigmoid_nd(x, e))
+        a._accumulate(g * _sigmoid_nd(x, e), owned=True)
 
     return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softplus")
 
@@ -433,14 +440,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def grad_fn(g):
             g = g.reshape(-1, g.shape[-1])
-            a._accumulate((g @ bd.T).reshape(ad.shape))
-            b._accumulate(rows.T @ g)
+            a._accumulate((g @ bd.T).reshape(ad.shape), owned=True)
+            b._accumulate(rows.T @ g, owned=True)
 
         return _make((rows @ bd).reshape(*ad.shape[:-1], -1), (a, b), grad_fn, "matmul")
 
     def grad_fn(g):
-        a._accumulate(np.matmul(g, bd.swapaxes(-1, -2)))
-        b._accumulate(np.matmul(ad.swapaxes(-1, -2), g))
+        a._accumulate(np.matmul(g, bd.swapaxes(-1, -2)), owned=True)
+        b._accumulate(np.matmul(ad.swapaxes(-1, -2), g), owned=True)
 
     return _make(np.matmul(ad, bd), (a, b), grad_fn, "matmul")
 
@@ -522,7 +529,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else shape[axis]
 
     def grad_fn(g):
-        a._accumulate(_expand_reduced(g, shape, axis, keepdims) / n)
+        a._accumulate(_expand_reduced(g, shape, axis, keepdims) / n, owned=True)
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), grad_fn, "mean")
 
@@ -547,13 +554,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
     p /= p.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        v._accumulate(np.matmul(p.swapaxes(-1, -2), g))
+        v._accumulate(np.matmul(p.swapaxes(-1, -2), g), owned=True)
         ds = np.matmul(g, vd.swapaxes(-1, -2))  # dL/dp, then in place dL/d(q kᵀ)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        q._accumulate(np.matmul(ds, kd))
-        k._accumulate(np.matmul(ds.swapaxes(-1, -2), qd))
+        q._accumulate(np.matmul(ds, kd), owned=True)
+        k._accumulate(np.matmul(ds.swapaxes(-1, -2), qd), owned=True)
 
     return _make(np.matmul(p, vd), (q, k, v), grad_fn, "attention")
 
@@ -577,8 +584,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, groups: int 
             gh = (g * gain.data).reshape(xg.shape)
             gh -= gh.mean(axis=-1, keepdims=True) + xc * (gh * xc).mean(axis=-1, keepdims=True)
             gh *= rstd
-            x._accumulate(gh.reshape(xd.shape))
-        gain._accumulate(g * normed)
+            x._accumulate(gh.reshape(xd.shape), owned=True)
+        gain._accumulate(g * normed, owned=True)
         if bias is not None:
             bias._accumulate(g)
 
@@ -614,7 +621,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
             x._accumulate(gp[..., lo:lo + L, :])
         if kernel.requires_grad:  # one einsum over the k sliding windows of the padded input
             windows = np.lib.stride_tricks.sliding_window_view(xp.reshape(-1, *xp.shape[-2:]), L, axis=1)
-            kernel._accumulate(np.einsum("bkcl,blc->kc", windows, g.reshape(-1, L, c)))
+            kernel._accumulate(np.einsum("bkcl,blc->kc", windows, g.reshape(-1, L, c)), owned=True)
         if bias is not None:
             bias._accumulate(g)
 

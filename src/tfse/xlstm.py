@@ -197,7 +197,7 @@ def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) ->
             dC = a_end[:, None, None] * dC + ad_num.swapaxes(-1, -2) @ qc
             dn = a_end[:, None] * dn + (ad_dot[:, None, :] @ qc)[:, 0]
         for x, dx in zip(inputs, (dq, dk, dv, di, df)):
-            x._accumulate(dx)
+            x._accumulate(dx, owned=True)
 
     return T._make(h, inputs, grad_fn, "mlstm_scan")
 

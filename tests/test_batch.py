@@ -1,7 +1,9 @@
 """Batch axis: a model run on [B, L, 257] equals the per-clip runs stacked,
 forward and backward, for every backbone; train_step's loss is the mean of
-the per-clip losses whatever the mix of clip lengths, and its graph stays
-within a node budget."""
+the per-clip losses whatever the mix of clip lengths, and its graph and
+its traced memory peak stay within a budget."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,3 +139,28 @@ def test_train_step_graph_stays_within_its_node_budget(preset, budget, monkeypat
     monkeypatch.setattr(training, "backward", counting_backward)
     train_step(model, AdamState(), batch, 0.0, "mask-mse")
     assert len(nodes) == 1 and nodes[0] <= budget, nodes
+
+
+# tracemalloc peak of one batch-2, 63-frame train step, taken after a first
+# step so the Adam moments exist. Freeing each intermediate grad once used,
+# handing fresh gradient arrays over uncopied and recomputing the Mamba scan
+# states per segment hold it near 55 MB (mamba-7) and 65 MB (xlstm-7); a
+# graph that kept every grad to the end of the pass and the scan's whole
+# state history peaked at 107 and 105 MB
+@pytest.mark.parametrize("preset,budget_mb", [("mamba-7", 65), ("xlstm-7", 75)])
+def test_train_step_peak_memory_stays_within_its_budget(preset, budget_mb):
+    model = build_model(read_config(resolve_config_arg(preset)).model_config(), seed=0)
+    rng = np.random.default_rng(3)
+    batch = [
+        (rng.uniform(0, 1.5, (63, 257)).astype(np.float32), rng.uniform(0, 1, (63, 257)).astype(np.float32))
+        for _ in range(2)
+    ]
+    opt = AdamState()
+    train_step(model, opt, batch, 1e-3, "mask-mse")
+    tracemalloc.start()
+    try:
+        train_step(model, opt, batch, 1e-3, "mask-mse")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= budget_mb, f"{peak / 1e6:.1f} MB"

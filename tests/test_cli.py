@@ -229,6 +229,9 @@ def test_bad_numeric_argument_is_a_usage_error(argv, toy_cfg_path, tmp_path, cap
 # flags that parse but do not go together: a config error (exit 2) before any work
 BAD_FLAG_COMBINATIONS = {
     "no-model": (["bench", "--lengths", "0.5"], "pass --config or --checkpoint"),
+    "config-and-checkpoint": (
+        ["bench", "--config", "toy-mamba", "--checkpoint", "{tmp}/ck", "--lengths", "0.5"], "--checkpoint, not both"
+    ),
     "checkpoint-train-steps": (
         ["bench", "--checkpoint", "{tmp}/ck", "--train-steps", "2"], "use --config {tmp}/ck/config.cfg"
     ),

@@ -2,6 +2,7 @@
 parallel/sequential agreement, long-input stability, and block semantics."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tfse import ssm
 from tfse import tensor as T
 from tfse.errors import NumericError
 from tfse.ssm import (
+    SEG,
     BiMambaBlock,
     MambaBlock,
     MambaCore,
@@ -100,6 +102,38 @@ class TestScanEquivalence:
             grads[name] = [a.grad.copy() for a in args]
         for gs, gp in zip(grads["seq"], grads["par"]):
             np.testing.assert_allclose(gs, gp, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("L", [1, SEG - 1, SEG, SEG + 1, 2 * SEG + 3])
+    def test_gradients_agree_across_segment_boundaries(self, L):
+        # the fused backward recomputes the states one SEG-frame segment at a time
+        r = np.random.default_rng(L)
+        u, delta, A, B, C, D = random_scan_inputs(r, 2 * L)
+        args = [Tensor(x.data.reshape(2, L, -1)) for x in (u, delta)] + [A]
+        args += [Tensor(x.data.reshape(2, L, -1)) for x in (B, C)] + [D]
+        w = Tensor(r.normal(size=(2, L, 6)))
+        grads = {}
+        for name, scan in (("seq", selective_scan_seq), ("par", selective_scan_par)):
+            for a in args:
+                a.requires_grad = True
+                a.grad = None
+            T.backward(T.sum_(T.mul(scan(*args), w)))
+            grads[name] = [a.grad.copy() for a in args]
+        for gs, gp in zip(grads["seq"], grads["par"]):
+            np.testing.assert_allclose(gs, gp, rtol=1e-9, atol=1e-11)
+
+    def test_recorded_forward_keeps_segment_starts_not_the_state_history(self, rng):
+        L, d_inner, d_state = 256, 64, 16
+        args = random_scan_inputs(rng, L, d_inner, d_state)
+        for a in args:
+            a.requires_grad = True
+        history = L * d_inner * d_state * np.dtype(F64).itemsize
+        tracemalloc.start()
+        try:
+            y = selective_scan_par(*args)
+            kept = tracemalloc.get_traced_memory()[0]  # the output and everything its backward holds
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad and kept < history / 4, (kept, history)
 
 
     @pytest.mark.parametrize("which", range(6), ids=["u", "delta", "A", "B", "C", "D"])

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfse import tensor as T
+from tfse.config import read_config, resolve_config_arg
 from tfse.errors import DimensionError, GraphError
+from tfse.model import build_model
 from tfse.tensor import CompGraph, Tensor, backward, grad_check, no_grad
+from tfse.training import clip_loss
 
 F64 = np.float64
 
@@ -77,6 +80,22 @@ class TestGraphMechanics:
         backward(loss2)
         np.testing.assert_allclose(x.grad, 2.0 * g1)
 
+    def test_backward_frees_every_intermediate_grad(self, rng):
+        x, w = t64(rng, 3, 4), t64(rng, 3, 4)
+        y = T.mul(x, w)
+        loss = T.sum_(T.exp(T.add(y, y)))
+        order = CompGraph(loss).order
+        backward(loss)
+        assert all(n.grad is None for n in order if n.op != "leaf")
+        e = np.exp(2 * x.data * w.data)
+        np.testing.assert_allclose(x.grad, 2 * w.data * e, rtol=1e-14)
+        np.testing.assert_allclose(w.grad, 2 * x.data * e, rtol=1e-14)
+
+    def test_a_gradient_passed_to_two_parents_is_copied_for_each(self, rng):
+        x, w = t64(rng, 3, 4), t64(rng, 3, 4)
+        backward(T.sum_(T.mul(T.add(x, w), t64(rng, 3, 4, requires_grad=False))))
+        assert not np.shares_memory(x.grad, w.grad)
+
     def test_diamond_grad_counts_both_paths(self):
         x = Tensor(np.array(3.0, dtype=F64), requires_grad=True)
         y = T.mul(x, x)
@@ -100,6 +119,23 @@ class TestGraphMechanics:
         x = Tensor(np.zeros(3, dtype=F64), requires_grad=True)
         with pytest.raises(GraphError):
             x._accumulate(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("preset", ["toy-mamba", "toy-xlstm", "toy-conformer"])
+def test_leaf_grads_share_no_memory_after_a_train_step(preset):
+    """A gradient array handed over to a leaf belongs to that leaf alone: it
+    aliases neither another leaf's grad nor any value in the graph."""
+    model = build_model(read_config(resolve_config_arg(preset)).model_config(), seed=0)
+    rng = np.random.default_rng(1)
+    mag = rng.uniform(0, 1.5, (2, 20, 257)).astype(np.float32)
+    loss = clip_loss(model(Tensor(mag)), rng.uniform(0, 1, mag.shape).astype(np.float32), mag, "mask-mse")
+    order = CompGraph(loss).order
+    backward(loss)
+    grads = [n.grad for n in order if n.op == "leaf" and n.grad is not None]
+    assert len(grads) == sum(1 for _ in model.parameters())
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(g, n.data) for n in order)
 
 
 UNARY_CASES = [
