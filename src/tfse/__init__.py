@@ -8,6 +8,8 @@ matrix-memory recurrent, plus bidirectional compositions), deterministic
 training, and an evaluation/benchmark harness.
 """
 
+import importlib
+
 from .config import ModelConfig, RunConfig, TrainConfig, read_config, write_config
 from .dsp import (
     Mask,
@@ -35,7 +37,6 @@ from .errors import (
     TfseError,
     TrainingAborted,
 )
-from .evalbench import estoi, measure_rtf, measure_train_step, resample_poly, score_model
 from .model import (
     EnhancementModel,
     build_model,
@@ -46,9 +47,20 @@ from .model import (
     save_model,
 )
 from .tensor import Tensor, backward, grad_check, no_grad
-from .training import TrainResult, load_checkpoint, train
 
 __version__ = "0.1.0"
+
+# loaded on first use (PEP 562): evalbench and training, and the subprocess module evalbench imports
+_LAZY = {"evalbench": ("estoi", "measure_rtf", "measure_train_step", "resample_poly", "score_model"),
+         "training": ("TrainResult", "load_checkpoint", "train")}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            value = importlib.import_module(f".{module}", __name__)
+            return value if name == module else getattr(value, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ConfigError",

@@ -88,7 +88,7 @@ class DepthwiseConv1d(Module):
 
 class BlockDiagonal(Module):
     """Weights w [n_blocks, bs, bs] of a block-diagonal map, no bias: block i maps features
-    [i * bs, (i + 1) * bs). The caller applies w to a block-major input (xlstm.MLSTMCore)."""
+    [i * bs, (i + 1) * bs). The caller applies w by block (xlstm.project_heads)."""
 
     def __init__(self, n_blocks: int, block_size: int, rng: np.random.Generator, dtype):
         self.w = _uniform(rng, (n_blocks, block_size, block_size), block_size, dtype)

@@ -15,22 +15,23 @@ factor: the stabilized denominator floor is exp(-m_t), which is the naive
 floor 1 rescaled. A final floor at the dtype's smallest positive normal
 guards exp(-m_t) underflow; 0/0 cannot occur.
 
-mlstm_cell_step is one step of that recurrence built from graph primitives
-and is the reference. mlstm_scan is the engine the models use: one graph
-node that runs the recurrence chunkwise-parallel (the parallel mLSTM form of
-Beck et al., xLSTM, arXiv 2405.04517, in the chunked layout of TFLA, arXiv
+mlstm_cell_step is one step of that recurrence built from graph primitives and
+is the reference. mlstm_scan is the engine the models use: one graph node that
+runs the recurrence chunkwise-parallel (the parallel mLSTM form of Beck et
+al., xLSTM, arXiv 2405.04517, in the chunked layout of TFLA, arXiv
 2503.14376). Frames are cut into fixed chunks of CHUNK frames from t = 0.
 Within a chunk, with b the cumulative sum of the forget pre-activations and
 (C, n, m) the state carried in from the previous chunk, h_t reads the
-log-weights b_t - b_j + i_j of frames j <= t and b_t + m of the carried
-state; their max is the cell's m_t, so the readout is three matrix products
-(Q K^T * W) V, Q C^T and Q n, each stabilized by the same exp(-m_t). The
-state at the chunk's end is carried on. A weight below tiny / eps of the
-dtype is flushed to exactly 0 before the exp: when the forget
-pre-activations drift positive, m climbs (into the hundreds on 40 s of audio)
-and a chunk's small weights would otherwise turn subnormal, which slows
-every product they enter. The backward runs over the chunks
-in reverse, carrying dC and dn and recomputing each chunk's weights from its
+log-weights b_t - b_j + i_j of frames j <= t and b_t + m of the carried state;
+their max is the cell's m_t, so the readout is three matrix products
+(Q K^T * W) V, Q C^T and Q n, each stabilized by the same exp(-m_t). The state
+at the chunk's end is carried on: chunk 0 enters none, so it skips Q C^T and
+Q n, and the last chunk passes none on. A weight below tiny / eps of the dtype
+is flushed to exactly 0 before the exp: when the forget pre-activations drift
+positive, m climbs (into the hundreds on 40 s of audio) and a chunk's small
+weights would otherwise turn subnormal, which slows every product they enter.
+The backward runs over the chunks in reverse, carrying dC and dn (none out of
+the last chunk or chunk 0) and recomputing each chunk's weights from its
 stored starting state; m is a constant there, since h does not depend on it.
 Causal prefixes are bit-exact: the chunk grid is fixed, and frames after t
 enter h_t only through weights that are exactly zero.
@@ -95,8 +96,8 @@ def mlstm_cell_step(
     return MLSTMState(C=C, n=n, m=m_new), h
 
 
-def _chunk_weights(i_raw, f_raw, m_prev):
-    """Stabilized weights of one chunk. i_raw, f_raw [H, K]; m_prev [H].
+def _chunk_weights(i_raw, f_raw, m_prev, mask):
+    """Stabilized weights of one chunk. i_raw, f_raw [H, K]; m_prev [H]; mask the -inf upper triangle, >= K x K.
 
     Returns W [H, K, K] (W[t, j] = exp(b_t - b_j + i_j - m_t) for j <= t,
     else 0), a [H, K] (the carried state's weight exp(b_t + m_prev - m_t))
@@ -107,7 +108,7 @@ def _chunk_weights(i_raw, f_raw, m_prev):
     K = i_raw.shape[-1]
     b = np.cumsum(f_raw, axis=-1)
     log_w = b[:, :, None] - b[:, None, :] + i_raw[:, None, :]
-    log_w += np.triu(np.full((K, K), -np.inf, dtype=i_raw.dtype), 1)
+    log_w += mask[:K, :K]
     carry = b + m_prev[:, None]
     m = np.maximum(carry, log_w.max(axis=-1))
     log_w -= m[:, :, None]
@@ -119,18 +120,23 @@ def _chunk_weights(i_raw, f_raw, m_prev):
     return np.exp(log_w, out=log_w), np.exp(carry, out=carry), m
 
 
-def _chunk_readout(q, k, W, a, m, C, n):
-    """Readout terms of one chunk entered with state (C, n): the scores
-    S = q k^T and P = S * W, the carried-state readouts q C^T and q . n,
-    the normalizer n_t . q_t and the denominator max(|n_t . q_t|, floor)."""
+def _chunk_terms(q, k, i_raw, f_raw, m_prev, mask, C, n):
+    """The weights W, a, m of one chunk (_chunk_weights) and its readout
+    terms, entered with state (C, n): the scores S = q k^T and P = S * W,
+    the carried-state readouts q C^T and q . n, the normalizer n_t . q_t and
+    the denominator max(|n_t . q_t|, floor). Chunk 0 enters no state: C, n
+    and their readouts are None."""
+    W, a, m = _chunk_weights(i_raw, f_raw, m_prev, mask)
     S = q @ k.swapaxes(-1, -2)
     P = S * W
-    qC = q @ C.swapaxes(-1, -2)
-    qn = (q @ n[:, :, None])[:, :, 0]
-    dot = P.sum(axis=-1) + a * qn
+    qC = qn = None
+    dot = P.sum(axis=-1)
+    if C is not None:
+        qC, qn = q @ C.swapaxes(-1, -2), (q @ n[:, :, None])[:, :, 0]
+        dot += a * qn
     with np.errstate(over="ignore"):  # exp(-m) may overflow to inf; then h -> 0, its limit
         floor = np.maximum(np.exp(-m), np.finfo(q.dtype).tiny)
-    return S, P, qC, qn, dot, np.maximum(np.abs(dot), floor)
+    return W, a, m, S, P, qC, qn, dot, np.maximum(np.abs(dot), floor)
 
 
 def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) -> Tensor:
@@ -143,32 +149,32 @@ def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) ->
     qd, kd, vd, ig, fg = (np.ascontiguousarray(x.data) for x in inputs)
     H, L, dh = qd.shape
     chunks = [slice(s, min(s + CHUNK, L)) for s in range(0, L, CHUNK)]
+    mask = np.triu(np.full((min(CHUNK, L),) * 2, -np.inf, dtype=ig.dtype), 1)
     starts = [] if T.is_recording(inputs) else None  # (C, n, m) entering each chunk
-    C = np.zeros((H, dh, dh), dtype=qd.dtype)
-    n = np.zeros((H, dh), dtype=qd.dtype)
+    C = n = None
     m = np.zeros(H, dtype=qd.dtype)
     h = np.empty_like(vd)
     for sl in chunks:
         if starts is not None:
             starts.append((C, n, m))
         qc, kc, vc = qd[:, sl], kd[:, sl], vd[:, sl]
-        W, a, mc = _chunk_weights(ig[:, sl], fg[:, sl], m)
-        _, P, qC, _, _, denom = _chunk_readout(qc, kc, W, a, mc, C, n)
-        h[:, sl] = (P @ vc + a[:, :, None] * qC) / denom[:, :, None]
+        last = W, a, mc, _, P, qC, _, _, denom = _chunk_terms(qc, kc, ig[:, sl], fg[:, sl], m, mask, C, n)
+        h[:, sl] = (P @ vc if C is None else P @ vc + a[:, :, None] * qC) / denom[:, :, None]
+        if sl.stop == L:  # the last chunk passes no state on; the backward starts from its terms
+            break
         w, a_end = W[:, -1], a[:, -1]
-        C = a_end[:, None, None] * C + (vc * w[:, :, None]).swapaxes(-1, -2) @ kc
-        n = a_end[:, None] * n + (w[:, None, :] @ kc)[:, 0]
+        C_in, n_in = (vc * w[:, :, None]).swapaxes(-1, -2) @ kc, (w[:, None, :] @ kc)[:, 0]
+        C, n = (C_in, n_in) if C is None else (a_end[:, None, None] * C + C_in, a_end[:, None] * n + n_in)
         m = mc[:, -1]
 
     def grad_fn(g):
         dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
         di, df = np.empty_like(ig), np.empty_like(fg)
-        dC = np.zeros((H, dh, dh), dtype=qd.dtype)
-        dn = np.zeros((H, dh), dtype=qd.dtype)
+        dC = dn = None  # the last chunk passes no state on
         for sl, (C0, n0, m0) in zip(reversed(chunks), reversed(starts)):
             qc, kc, vc, gc = qd[:, sl], kd[:, sl], vd[:, sl], g[:, sl]
-            W, a, mc = _chunk_weights(ig[:, sl], fg[:, sl], m0)
-            S, P, qC, qn, dot, denom = _chunk_readout(qc, kc, W, a, mc, C0, n0)
+            terms = last if dC is None else _chunk_terms(qc, kc, ig[:, sl], fg[:, sl], m0, mask, C0, n0)
+            W, a, mc, S, P, qC, qn, dot, denom = terms
             d_num = gc / denom[:, :, None]
             # h = num / max(|dot|, floor); the floor is inactive where denom == |dot|,
             # and ties go to |dot| as in T.maximum
@@ -176,30 +182,59 @@ def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) ->
                 np.abs(dot) == denom, -np.sign(dot) * (gc * h[:, sl]).sum(axis=-1) / denom, 0.0
             )
             w, a_end = W[:, -1], a[:, -1]
-            # the carried-state weights a, through the readout and the end state
-            da = (d_num * qC).sum(axis=-1) + d_dot * qn
-            da[:, -1] += (dC * C0).sum(axis=(-2, -1)) + (dn * n0).sum(axis=-1)
             # the in-chunk weights W: the readout's scores, and row K-1 again for the end state
             dP = d_num @ vc.swapaxes(-1, -2) + d_dot[:, :, None]
-            dW = dP * S
-            dW[:, -1] += ((vc @ dC) * kc).sum(axis=-1) + (kc @ dn[:, :, None])[:, :, 0]
-            dS = dP * W
-            ad_num = a[:, :, None] * d_num
-            ad_dot = a * d_dot
-            dq[:, sl] = dS @ kc + ad_num @ C0 + ad_dot[:, :, None] * n0[:, None, :]
-            dk[:, sl] = dS.swapaxes(-1, -2) @ qc + w[:, :, None] * (vc @ dC + dn[:, None, :])
-            dv[:, sl] = P.swapaxes(-1, -2) @ d_num + w[:, :, None] * (kc @ dC.swapaxes(-1, -2))
+            dW, dS = dP * S, dP * W
+            dq[:, sl], dk[:, sl], dv[:, sl] = dS @ kc, dS.swapaxes(-1, -2) @ qc, P.swapaxes(-1, -2) @ d_num
+            if dC is not None:
+                vdC = vc @ dC
+                dW[:, -1] += (vdC * kc).sum(axis=-1) + (kc @ dn[:, :, None])[:, :, 0]
+                dk[:, sl] += w[:, :, None] * (vdC + dn[:, None, :])
+                dv[:, sl] += w[:, :, None] * (kc @ dC.swapaxes(-1, -2))
             # log-weights: W[t, j] = exp(b_t - b_j + i_j - m_t), a_t = exp(b_t + m0 - m_t)
             d_log = dW * W
             di[:, sl] = d_log.sum(axis=-2)
-            db = d_log.sum(axis=-1) - di[:, sl] + da * a
+            db = d_log.sum(axis=-1) - di[:, sl]
+            if C0 is not None:  # the carried-state weights a, through the readout and the end state
+                ad_num, ad_dot = a[:, :, None] * d_num, a * d_dot
+                dq[:, sl] = dq[:, sl] + ad_num @ C0 + ad_dot[:, :, None] * n0[:, None, :]
+                da = (d_num * qC).sum(axis=-1) + d_dot * qn
+                if dC is not None:
+                    da[:, -1] += (dC * C0).sum(axis=(-2, -1)) + (dn * n0).sum(axis=-1)
+                db += da * a
+                dC_in, dn_in = ad_num.swapaxes(-1, -2) @ qc, (ad_dot[:, None, :] @ qc)[:, 0]
+                dC, dn = (dC_in, dn_in) if dC is None else (a_end[:, None, None] * dC + dC_in, a_end[:, None] * dn + dn_in)
             df[:, sl] = np.cumsum(db[:, ::-1], axis=-1)[:, ::-1]
-            dC = a_end[:, None, None] * dC + ad_num.swapaxes(-1, -2) @ qc
-            dn = a_end[:, None] * dn + (ad_dot[:, None, :] @ qc)[:, 0]
         for x, dx in zip(inputs, (dq, dk, dv, di, df)):
             x._accumulate(dx, owned=True)
 
     return T._make(h, inputs, grad_fn, "mlstm_scan")
+
+
+def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
+    """Block-diagonal map of x [..., L, d_inner] by w [n_blocks, bs, bs] into
+    the scan's heads-first [N * H, L, d_head] (clips folded into heads), one
+    node: a batched matmul from a strided view of x into one of the output.
+    The backward first moves g's heads ahead of its clips, so that a block's
+    N * L rows are evenly spaced, then forms dx and dw with one matmul a block."""
+    xd, wd = np.ascontiguousarray(x.data), w.data
+    (nb, bs, _), L = wd.shape, xd.shape[-2]
+    J, N = nb // heads, xd.size // (L * nb * bs)
+    w_blocks = wd.reshape(heads, J, 1, bs, bs)
+    out = np.empty((N * heads, L, J * bs), dtype=np.result_type(xd, wd))
+    np.matmul(xd.reshape(N, L, heads, J, bs).transpose(2, 3, 0, 1, 4), w_blocks,  # [H, J, N, L, bs]
+              out=out.reshape(N, heads, L, J, bs).transpose(1, 3, 0, 2, 4))
+
+    def grad_fn(g):
+        g = np.ascontiguousarray(g.reshape(N, heads, L, -1).swapaxes(0, 1))  # [H, N, L, dh]
+        g_blocks = g.reshape(heads, N * L, J, bs).transpose(0, 2, 1, 3)  # [H, J, N * L, bs]
+        dx = np.empty(xd.shape, dtype=xd.dtype)  # w^T made contiguous: numpy's matmul is slow on the transposed view
+        np.matmul(g_blocks, np.ascontiguousarray(w_blocks[:, :, 0].swapaxes(-1, -2)),
+                  out=dx.reshape(N * L, heads, J, bs).transpose(1, 2, 0, 3))
+        x._accumulate(dx, owned=True)
+        w._accumulate((xd.reshape(N * L, heads, J, bs).transpose(1, 2, 3, 0) @ g_blocks).reshape(wd.shape), owned=True)
+
+    return T._make(out, (x, w), grad_fn, "project_heads")
 
 
 class MLSTMCore(Module):
@@ -211,10 +246,10 @@ class MLSTMCore(Module):
     scan (mlstm_scan) -> group norm (gain only) -> learnable skip from the
     conv branch -> SiLU(gate branch) -> down-projection.
 
-    q, k and v share one block-major copy of the conv output, [n_blocks,
-    N * L, QKV_BLOCK_SIZE]: each is one batched matmul by its block weights,
-    then one copy to the scan's heads-first [N * H, L, d_head]. Each head must
-    hold whole blocks, so d_inner must be a multiple of heads x QKV_BLOCK_SIZE.
+    q, k and v are each one project_heads node, a batched matmul by block
+    from a strided view of the conv output straight into the scan's
+    heads-first [N * H, L, d_head]. Each head must hold whole blocks, so
+    d_inner must be a multiple of heads x QKV_BLOCK_SIZE.
 
     The scan's output is laid out d-major (feature d * heads + head), and
     the norm takes groups of d_head consecutive features, so each group
@@ -244,15 +279,13 @@ class MLSTMCore(Module):
     def __call__(self, x: Tensor) -> Tensor:
         """x [..., L, d_model] (leading axes are batch axes)."""
         *lead, L, _ = x.shape
-        H, dh, di, bs = self.heads, self.d_head, self.d_inner, QKV_BLOCK_SIZE
+        H, dh, di = self.heads, self.d_head, self.d_inner
         up = self.up_proj(self.norm(x))  # [..., L, 2*d_inner]
         z = up[..., di:]
         xc = T.silu(self.conv(up[..., :di], causal=True))
-        xb = T.rearrange(xc, (-1, di // bs, bs), (1, 0, 2))  # block-major [nb, N * L, bs]
-        to_heads = (H, dh // bs, -1, L, bs), (2, 0, 3, 1, 4), (-1, L, dh)  # -> [N * H, L, dh], clips folded into heads
-        q = T.rearrange(T.matmul(xb, self.q_proj.w), *to_heads)
-        k = T.rearrange(T.mul(T.matmul(xb, self.k_proj.w), dh ** -0.5), *to_heads)
-        v = T.rearrange(T.matmul(xb, self.v_proj.w), *to_heads)
+        q = project_heads(xc, self.q_proj.w, H)
+        k = T.mul(project_heads(xc, self.k_proj.w, H), dh ** -0.5)
+        v = project_heads(xc, self.v_proj.w, H)
         gates = (-1, L, H), (0, 2, 1), (-1, L)  # [..., L, H] -> [N * H, L]
         ig = T.rearrange(self.i_gate(xc), *gates)
         fg = T.rearrange(self.f_gate(xc), *gates)

@@ -377,7 +377,7 @@ def test_c09_throughput_trends():
     sec_x = measure_train_step(cfg_x, steps=3, warmup=1, frames=63)
 
     # The paper's "xLSTM is slowest" is reported, not gated: with the chunkwise
-    # mLSTM scan the two steps cost the same within run-to-run noise.
+    # mLSTM scan the xLSTM step is no slower than bimamba's.
     ok = ratio_of_ratios >= 1.5
     verdict(9, "throughput-trends", ok,
             f"RTF(40s)/RTF(10s): attention {att:.2f} vs bimamba {bim:.2f} "

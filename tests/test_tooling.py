@@ -1,6 +1,10 @@
-"""Source hygiene: every module-level import in the package and its tests is used."""
+"""Source hygiene: every module-level import in the package and its tests is
+used, and `import tfse` leaves the training and evaluation modules unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,17 @@ def test_the_scan_flags_an_unused_import_and_spares_the_exempt_ones():
         "print(sys.argv)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: osp", "line 4: dumps"]
+
+
+def test_import_tfse_loads_training_and_evalbench_only_on_first_use():
+    # a fresh interpreter: this one has long since imported every module
+    probe = (
+        "import sys, tfse\n"
+        "lazy = ('tfse.training', 'tfse.evalbench', 'subprocess')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "missing = [n for n in tfse.__all__ if not hasattr(tfse, n)]\n"
+        "print(missing, callable(tfse.training.load_corpus), callable(tfse.evalbench.estoi))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "[] True True"], out.stderr

@@ -165,8 +165,11 @@ class TestChunkedScan:
         # grad_check perturbs args[which] in place, so f reads it from args
         assert grad_check(lambda _x: T.sum_(T.mul(mlstm_scan(*args), w)), args[which]) < 1e-7
 
-    def test_gradients_match_cell_chain(self, rng):
-        args = scan_inputs(rng, 2 * CHUNK + 5)
+    # one chunk that is both the first and the last, a full one, and a first
+    # chunk that carries its state into a one-frame last chunk
+    @pytest.mark.parametrize("L", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    def test_gradients_match_cell_chain(self, rng, L):
+        args = scan_inputs(rng, L)
         w = Tensor(rng.normal(size=args[0].shape))
         grads = []
         for scan in (mlstm_scan, cell_scan):
@@ -174,6 +177,9 @@ class TestChunkedScan:
                 a.zero_grad()
             T.backward(T.sum_(T.mul(scan(*args), w)))
             grads.append([a.grad.copy() for a in args])
+        # the first forget gate only scales the zero entry state (m cancels), so
+        # its exact gradient is 0; the chain's holds rounding, the only term at L = 1
+        grads[1][4][:, 0] = 0.0
         for got, want in zip(*grads):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
@@ -288,16 +294,29 @@ class TestMLSTMCore:
             want = want.reshape(-1, L, H, dh).transpose(0, 2, 1, 3).reshape(-1, L, dh)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_gradients(self, rng):
-        core = MLSTMCore(8, np.random.default_rng(4), F64, heads=2, proj_factor=2.0)
-        x = Tensor(rng.normal(size=(5, 8)).astype(F64))
+    def test_projection_is_one_graph_node(self, rng):
+        core = MLSTMCore(12, np.random.default_rng(4), F64, heads=3, proj_factor=2.0)
+        xc = Tensor(rng.normal(size=(2, 5, core.d_inner)), requires_grad=True)
+        q = xlstm.project_heads(xc, core.q_proj.w, core.heads)
+        assert q.shape == (2 * core.heads, 5, core.d_head)
+        assert q.op == "project_heads" and q._parents == (xc, core.q_proj.w)
+        with no_grad():
+            q = xlstm.project_heads(xc, core.q_proj.w, core.heads)
+        assert q._parents == () and q._grad_fn is None and not q.requires_grad
 
-        def loss_fn():
+    # d_head 8 (two blocks a head) in both; the second has a batch axis of 2 and 3 heads
+    @pytest.mark.parametrize("d_model,heads,shape", [(8, 2, (5, 8)), (12, 3, (2, 5, 12))], ids=["2d", "3d"])
+    def test_gradients(self, rng, d_model, heads, shape):
+        core = MLSTMCore(d_model, np.random.default_rng(4), F64, heads=heads, proj_factor=2.0)
+        x = Tensor(rng.normal(size=shape).astype(F64), requires_grad=True)
+
+        def loss_fn(_x=None):
             y = core(x)
             return T.sum_(T.mul(y, y))
 
         errs = grad_check_params(loss_fn, core.named_parameters(), h=1e-5)
         assert max(errs.values()) < 1e-3, errs
+        assert grad_check(loss_fn, x) < 1e-6
 
 
 class TestBidirectionalBlocks:
