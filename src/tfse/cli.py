@@ -18,10 +18,23 @@ import tempfile
 import numpy as np
 
 from . import dsp
-from .config import ATTENTION_BACKBONES, read_config, resolve_config_arg, shipped_config_names
+from . import tensor as T
+from .archive import load_tensors, save_tensors
+from .config import (
+    ATTENTION_BACKBONES,
+    BACKBONES,
+    NONCAUSAL_ONLY,
+    ModelConfig,
+    RunConfig,
+    read_config,
+    resolve_config_arg,
+    shipped_config_names,
+)
 from .errors import ConfigError, DataError, TfseError
-from .model import CONFIG_FILE, build_model, count_params, enhance, load_model, param_count_str
-from .tensor import Tensor
+from .model import CONFIG_FILE, build_model, count_params, enhance, load_model, param_count_str, save_model
+from .ssm import selective_scan_par, selective_scan_seq
+from .tensor import Tensor, no_grad
+from .xlstm import CHUNK, MLSTMState, mlstm_cell_step, mlstm_scan
 
 BENCH_LOCK = os.path.join(tempfile.gettempdir(), "tfse-bench.lock")
 
@@ -30,8 +43,6 @@ BENCH_LOCK = os.path.join(tempfile.gettempdir(), "tfse-bench.lock")
 
 
 def _check_gradients() -> tuple[bool, str]:
-    from . import tensor as T
-
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 7)).astype(np.float64), requires_grad=True)
     w = Tensor(rng.normal(size=(7, 4)).astype(np.float64))
@@ -50,9 +61,6 @@ def _check_gradients() -> tuple[bool, str]:
 
 
 def _check_scan_equivalence() -> tuple[bool, str]:
-    from .ssm import selective_scan_par, selective_scan_seq
-    from .tensor import no_grad
-
     rng = np.random.default_rng(1)
     worst = 0.0
     with no_grad():
@@ -70,9 +78,6 @@ def _check_scan_equivalence() -> tuple[bool, str]:
 
 
 def _check_chunked_mlstm() -> tuple[bool, str]:
-    from .tensor import no_grad
-    from .xlstm import CHUNK, MLSTMState, mlstm_cell_step, mlstm_scan
-
     rng = np.random.default_rng(3)
     H, dh, L = 2, 4, 2 * CHUNK + 7  # crosses two chunk boundaries
     q, k, v = (rng.normal(size=(H, L, dh)) for _ in range(3))
@@ -92,10 +97,6 @@ def _check_chunked_mlstm() -> tuple[bool, str]:
 
 
 def _check_recurrence_stabilizer() -> tuple[bool, str]:
-    from . import tensor as T
-    from .tensor import no_grad
-    from .xlstm import MLSTMState, mlstm_cell_step
-
     rng = np.random.default_rng(2)
     H, dh, L = 2, 4, 24
     worst = 0.0
@@ -163,8 +164,6 @@ def _check_intelligibility_scorer() -> tuple[bool, str]:
 
 
 def _check_archive_roundtrip() -> tuple[bool, str]:
-    from .archive import load_tensors, save_tensors
-
     rng = np.random.default_rng(6)
     tensors = {
         "a.w": rng.normal(size=(3, 4)).astype(np.float32),
@@ -184,9 +183,6 @@ def _check_archive_roundtrip() -> tuple[bool, str]:
 
 
 def _check_deterministic_build() -> tuple[bool, str]:
-    from .config import ModelConfig
-    from .tensor import no_grad
-
     cfg = ModelConfig(backbone="transformer", blocks=1, causal=True, d_model=32, d_ff=64, heads=4)
     m1 = build_model(cfg, seed=9)
     m2 = build_model(cfg, seed=9)
@@ -202,10 +198,6 @@ def _check_deterministic_build() -> tuple[bool, str]:
 
 
 def _check_checkpoint_load() -> tuple[bool, str]:
-    from .config import BACKBONES, NONCAUSAL_ONLY, RunConfig
-    from .model import save_model
-    from .tensor import no_grad
-
     x = np.random.default_rng(12).uniform(0, 1, (8, 257)).astype(np.float32)
     for backbone in BACKBONES:
         rc = RunConfig(
@@ -229,8 +221,6 @@ def _check_negative_control() -> tuple[bool, str]:
     """Feed the gradient checker an op whose backward is deliberately wrong.
     The checker must flag it; this check is expected to FAIL, proving the
     comparison is not vacuous."""
-    from . import tensor as T
-
     x = Tensor(np.random.default_rng(11).normal(size=(4, 3)).astype(np.float64), requires_grad=True)
 
     def bad_square(t):
@@ -363,11 +353,7 @@ def _cmd_bench(args) -> int:
         sps = ""
         if args.train_steps:
             sps = repr(measure_train_step(rc, steps=args.train_steps, warmup=2))
-        results = [
-            measure_rtf(model, L, batch=args.batch, runs=args.runs, warmup=args.warmup,
-                        include_stft=args.include_stft)
-            for L in args.lengths
-        ]
+        results = [measure_rtf(model, L, batch=args.batch, runs=args.runs, warmup=args.warmup) for L in args.lengths]
     finally:
         lock.close()
 
@@ -473,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--batch", type=_positive, default=4)
     b.add_argument("--runs", type=_positive, default=20)
     b.add_argument("--warmup", type=_non_negative, default=3)
-    b.add_argument("--include-stft", action="store_true", help="time the full waveform path")
     b.add_argument("--train-steps", type=_non_negative, default=0, help="also time N optimizer steps (needs --config)")
     b.add_argument("--out", help="write results CSV here")
     b.add_argument("--assert-trends", action="store_true", help="fail if cost scaling looks wrong")

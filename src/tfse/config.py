@@ -154,8 +154,7 @@ def _parse_value(key: str, raw: str, target_type):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    types = {f.name: f.type for f in fields(RunConfig)}
-    # dataclass field types arrive as strings under future annotations
+    keys = {f.name for f in fields(RunConfig)}
     defaults = RunConfig()
     seen: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -164,9 +163,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             continue
         if "=" not in body:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+        if "\0" in body:
+            raise ConfigError(f"{source}:{lineno}: NUL byte in {line.rstrip()!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in types:
+        if key not in keys:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")

@@ -14,8 +14,8 @@ downsample by 8.
 ESTOI frames and overlap-adds with dsp.frame_grid and dsp.overlap_add, the
 same grid and summation order as the STFT.
 
-Throughput: measure_rtf times mask inference (optionally the full STFT ->
-mask -> ISTFT path) against audio duration; measure_train_step times whole
+Throughput: measure_rtf times `enhance`, the whole waveform path (STFT ->
+mask -> ISTFT), against audio duration; measure_train_step times whole
 optimizer steps on pre-generated synthetic batches. `tfse bench` calls
 both directly and writes their CSV rows itself.
 """
@@ -23,7 +23,9 @@ both directly and writes their CSV rows itself.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -33,7 +35,6 @@ from . import dsp, training
 from .config import N_BINS, RunConfig
 from .errors import DataError, FormatError, LengthError, SampleRateError
 from .model import EnhancementModel, build_model, enhance, load_model
-from .tensor import Tensor, no_grad
 
 ESTOI_SR = 10000
 _FRAME = 256
@@ -49,17 +50,10 @@ _TINY = 1e-30
 # ---- resampling ------------------------------------------------------------
 
 
-def _conv_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(a) + len(b) - 1
-    if len(a) * len(b) < (1 << 22):
-        return np.convolve(a, b)
-    size = 1 << (n - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-
-
 def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """Rational-rate resampling by zero-stuffing, windowed-sinc lowpass,
-    and decimation. Output length is ceil(len(x) * up / down)."""
+    """Rational-rate resampling by zero-stuffing, windowed-sinc lowpass
+    (applied as an FFT product), and decimation. Output length is
+    ceil(len(x) * up / down)."""
     m = max(up, down)
     half = 10 * m
     n = np.arange(-half, half + 1)
@@ -67,8 +61,9 @@ def resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
     taps = 2.0 * fc * np.sinc(2.0 * fc * n) * np.kaiser(2 * half + 1, 8.555) * up
     stuffed = np.zeros(len(x) * up)
     stuffed[::up] = x
-    filtered = _conv_full(stuffed, taps)[half:half + len(x) * up]
-    return filtered[::down]
+    size = 1 << (len(stuffed) + len(taps) - 2).bit_length()  # >= the full convolution's length
+    filtered = np.fft.irfft(np.fft.rfft(stuffed, size) * np.fft.rfft(taps, size), size)
+    return filtered[half:half + len(stuffed):down]
 
 
 # ---- ESTOI ------------------------------------------------------------------
@@ -172,39 +167,23 @@ def measure_rtf(
     batch: int = 4,
     runs: int = 20,
     warmup: int = 3,
-    include_stft: bool = False,
-    seed: int = 0,
 ) -> RTFResult:
-    """Real-time factor: processing seconds per second of audio.
+    """Real-time factor: seconds of `enhance` (STFT -> mask -> ISTFT) per
+    second of audio.
 
-    Times `batch` independent clips of length_s per run with
-    time.perf_counter. By default only mask inference is timed (the
-    spectral transforms are excluded); include_stft times the full
-    waveform-to-waveform path.
+    Each run enhances `batch` independent uniform-noise clips of length_s,
+    timed with time.perf_counter; the first `warmup` runs are discarded.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = int(round(length_s * dsp.SAMPLE_RATE))
     waves = [dsp.Waveform(rng.uniform(-0.5, 0.5, n)) for _ in range(batch)]
-    if include_stft:
-        def work():
-            for w in waves:
-                enhance(model, w)
-    else:
-        mags = [dsp.stft(w).magnitude.astype(model.dtype) for w in waves]
-
-        def work():
-            with no_grad():
-                for mag in mags:
-                    model(Tensor(mag))
-
-    for _ in range(warmup):
-        work()
     times = []
-    for _ in range(runs):
+    for _ in range(warmup + runs):
         t0 = time.perf_counter()
-        work()
+        for w in waves:
+            enhance(model, w)
         times.append(time.perf_counter() - t0)
-    times_arr = np.asarray(times)
+    times_arr = np.asarray(times[warmup:])
     mean = float(times_arr.mean())
     cv = float(times_arr.std() / mean) if mean > 0 else 0.0
     return RTFResult(length_s, mean / (batch * length_s), cv, runs, batch)
@@ -215,8 +194,6 @@ def measure_train_step(
     steps: int = 50,
     warmup: int = 5,
     frames: int = 63,
-    seed: int = 0,
-    dtype=np.float32,
 ) -> float:
     """Mean seconds per optimizer step (forward + backward + clip + Adam),
     timed through training.train_step, the step `train` runs.
@@ -226,15 +203,15 @@ def measure_train_step(
     """
     model_cfg = run_cfg.model_config()
     train_cfg = run_cfg.train_config()
-    model = build_model(model_cfg, seed=train_cfg.seed, dtype=dtype)
+    model = build_model(model_cfg, seed=train_cfg.seed)
     opt = training.AdamState()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     batches = []
     for _ in range(min(steps + warmup, 8)):  # cycle a few distinct batches
         batch = [
             (
-                np.abs(rng.normal(size=(frames, N_BINS))).astype(dtype),
-                rng.uniform(0, 1, size=(frames, N_BINS)).astype(dtype),
+                np.abs(rng.normal(size=(frames, N_BINS))).astype(np.float32),
+                rng.uniform(0, 1, size=(frames, N_BINS)).astype(np.float32),
             )
             for _ in range(train_cfg.batch_size)
         ]
@@ -272,13 +249,13 @@ def external_score(scorer_cmd: list[str], ref_wav: str, est_wav: str) -> float:
 def read_eval_manifest(path: str) -> list[tuple[str, str, float]]:
     """Lines: `<clean_rel> <noise_rel> <snr_db>`, paths relative to the
     manifest directory."""
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
+    except OSError as e:
+        raise DataError(f"cannot read evaluation manifest {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: evaluation manifest is not UTF-8 text ({e})") from None
     for lineno, line in enumerate(lines, 1):
@@ -286,7 +263,7 @@ def read_eval_manifest(path: str) -> list[tuple[str, str, float]]:
         if not body:
             continue
         parts = body.split()
-        if len(parts) != 3:
+        if len(parts) != 3 or "\0" in body:
             raise DataError(f"{path}:{lineno}: expected '<clean> <noise> <snr_db>'")
         try:
             snr = float(parts[2])
@@ -322,11 +299,8 @@ def score_model(
     """Mix each manifest row at its SNR, enhance, and aggregate per-SNR
     means of ESTOI (noisy and enhanced) and SNR improvement. Mixtures are
     reproducible: row i uses a generator seeded with (seed, i)."""
-    import os
-    import tempfile
-
-    model, _ = load_model(ckpt_dir)
     entries = read_eval_manifest(manifest_path)
+    model, _ = load_model(ckpt_dir)
     acc: dict[str, dict[float, list[float]]] = {}
 
     def push(metric: str, snr: float, value: float) -> None:

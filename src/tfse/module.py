@@ -31,8 +31,6 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{prefix}{name}.{i}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{prefix}{name}.{i}", item
 
     def parameters(self):
         for _, p in self.named_parameters():

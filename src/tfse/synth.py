@@ -18,8 +18,9 @@ from . import dsp
 N_HARMONICS = 6
 
 
-def tonal_speech(rng: np.random.Generator, duration_s: float, sr: int = dsp.SAMPLE_RATE) -> dsp.Waveform:
-    """Harmonic tone complex with vibrato, AM, and edge fades; peak 0.3."""
+def tonal_speech(rng: np.random.Generator, duration_s: float) -> dsp.Waveform:
+    """Harmonic tone complex with vibrato, AM, and edge fades at 16 kHz; peak 0.3."""
+    sr = dsp.SAMPLE_RATE
     n = int(round(duration_s * sr))
     t = np.arange(n) / sr
     f0 = rng.uniform(120.0, 280.0)
@@ -40,8 +41,9 @@ def tonal_speech(rng: np.random.Generator, duration_s: float, sr: int = dsp.SAMP
     return dsp.Waveform(x, sr)
 
 
-def filtered_noise(rng: np.random.Generator, duration_s: float, sr: int = dsp.SAMPLE_RATE) -> dsp.Waveform:
-    """White noise shaped toward the 2.5 kHz+ band, peak 0.3."""
+def filtered_noise(rng: np.random.Generator, duration_s: float) -> dsp.Waveform:
+    """White noise shaped toward the 2.5 kHz+ band at 16 kHz, peak 0.3."""
+    sr = dsp.SAMPLE_RATE
     n = int(round(duration_s * sr))
     white = rng.normal(size=n)
     spec = np.fft.rfft(white)

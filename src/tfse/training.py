@@ -137,11 +137,11 @@ def lr_at(step_n: int, step_w: int, d_model: int) -> float:
     return min(n**-0.5, n * w**-1.5) * float(d_model) ** -0.5
 
 
-def clip_gradients(params, lo: float = -1.0, hi: float = 1.0) -> None:
-    """Clamp every gradient value into [lo, hi], in place."""
+def clip_gradients(params) -> None:
+    """Clamp every gradient value into [-1, 1], in place."""
     for p in params:
         if p.grad is not None:
-            np.clip(p.grad, lo, hi, out=p.grad)
+            np.clip(p.grad, -1.0, 1.0, out=p.grad)
 
 
 @dataclass

@@ -245,6 +245,34 @@ def test_bad_flag_combination_is_a_config_error(argv, message, tmp_path, capsys)
     assert err.startswith("error: bench: ") and message.format(tmp=tmp_path) in err
 
 
+def test_removed_include_stft_flag_is_a_usage_error(toy_cfg_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--config", toy_cfg_path, "--lengths", "0.5", "--include-stft"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --include-stft" in capsys.readouterr().err
+
+
+# input files with a NUL byte where a path goes: a clean error (exit 2), not a traceback
+BAD_INPUT_FILES = {
+    "config-corpus-nul": (
+        "bad.cfg", "backbone = mamba\ncorpus = c\0.txt\n",
+        ["train", "--config", "{tmp}/bad.cfg", "--out", "{tmp}/run"], "bad.cfg:2",
+    ),
+    "eval-manifest-path-nul": (
+        "eval.txt", "c\0.wav n.wav 0\n",
+        ["score", "--checkpoint", "{tmp}/ck", "--manifest", "{tmp}/eval.txt"], "eval.txt:1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, text, argv, where", BAD_INPUT_FILES.values(), ids=BAD_INPUT_FILES.keys())
+def test_bad_input_file_is_a_clean_error(name, text, argv, where, tmp_path, capsys):
+    (tmp_path / name).write_text(text)
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
 @pytest.mark.parametrize("line", ["seed = -1", "max_steps = -3"])
 @pytest.mark.parametrize("command", ["params", "train", "bench"])
 def test_bad_config_value_is_a_config_error(command, line, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tfse import evalbench
 from tfse.config import RunConfig
 from tfse.dsp import Waveform, mix_at_snr, write_wav
 from tfse.errors import DataError, FormatError, LengthError, SampleRateError, TfseError
@@ -21,6 +22,7 @@ from tfse.evalbench import (
     resample_poly,
     score_model,
 )
+from tfse.model import enhance
 from tfse.synth import filtered_noise, tonal_speech
 
 
@@ -143,8 +145,16 @@ class TestTiming:
         assert r.length_s == 1.0 and r.runs == 3 and r.batch == 2
         assert r.rtf > 0 and np.isfinite(r.cv)
 
-    def test_rtf_with_analysis_included(self, tiny_model):
-        r = measure_rtf(tiny_model, 1.0, batch=1, runs=2, warmup=1, include_stft=True)
+    def test_rtf_times_enhance_on_every_clip_of_every_run(self, tiny_model, monkeypatch):
+        calls = []
+
+        def counted(model, wave):
+            calls.append(len(wave))
+            return enhance(model, wave)
+
+        monkeypatch.setattr(evalbench, "enhance", counted)
+        r = measure_rtf(tiny_model, 1.0, batch=2, runs=3, warmup=1)
+        assert calls == [16000] * 2 * (1 + 3)
         assert r.rtf > 0
 
     def test_train_step_timer(self, corpus_manifest):
@@ -184,6 +194,10 @@ class TestEvalManifest:
         m.write_text(f"clean.wav noisy.wav 5\nc2.wav n2.wav {snr}\n")
         with pytest.raises(DataError, match="eval.txt:2.*snr"):
             read_eval_manifest(str(m))
+
+    def test_missing_manifest_is_a_data_error_raised_before_the_checkpoint_loads(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read evaluation manifest .*missing.txt"):
+            score_model(str(tmp_path / "no_ckpt"), str(tmp_path / "missing.txt"))
 
     def test_non_utf8_manifest_rejected(self, tmp_path):
         m = tmp_path / "eval.txt"

@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import in the package and its tests is
-used, and `import tfse` leaves the training and evaluation modules unloaded."""
+"""Source hygiene: every import in the package and its tests is used, and
+`import tfse` leaves the training and evaluation modules unloaded."""
 
 import ast
 import os
@@ -11,29 +11,44 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "tfse").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imports_in_scope(scope: ast.AST):
+    """Import statements that bind names in `scope` itself, not in a nested function."""
+    for child in ast.iter_child_nodes(scope):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, FUNCTIONS):
+            yield from _imports_in_scope(child)
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by a module-level import that are never loaded, except
+    """Names bound by an import, at module level or inside a function, that
+    are never loaded in that scope (nested functions included), except
     `from __future__` imports and names listed in `__all__`."""
     tree = ast.parse(source)
-    bound: dict[str, int] = {}
     exported: set[str] = set()
     for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported.update(ast.literal_eval(node.value))
-    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return [f"line {line}: {name}" for name, line in bound.items() if name not in loaded | exported]
+    unused = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        bound: dict[str, int] = {}
+        for node in _imports_in_scope(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                bound[name if isinstance(node, ast.ImportFrom) else name.split(".")[0]] = node.lineno
+        loaded = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        keep = loaded | exported if scope is tree else loaded
+        unused += [(line, name) for name, line in bound.items() if name not in keep]
+    return [f"line {line}: {name}" for line, name in sorted(unused)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])
-def test_no_unused_module_level_imports(path):
+def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
@@ -47,6 +62,24 @@ def test_the_scan_flags_an_unused_import_and_spares_the_exempt_ones():
         "print(sys.argv)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: osp", "line 4: dumps"]
+
+
+def test_the_scan_flags_an_unused_import_inside_a_function():
+    source = (
+        "import json\n"
+        "def f():\n"
+        "    import os\n"
+        "    from json import dumps, loads\n"
+        "    if True:\n"
+        "        import sys\n"
+        "    def g():\n"
+        "        return loads(sys.argv[0])\n"
+        "    return g\n"
+        "def h():\n"
+        "    import os\n"
+        "    return os.sep, json\n"
+    )
+    assert unused_imports(source) == ["line 3: os", "line 4: dumps"]
 
 
 def test_import_tfse_loads_training_and_evalbench_only_on_first_use():
