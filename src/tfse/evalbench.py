@@ -246,9 +246,9 @@ def external_score(scorer_cmd: list[str], ref_wav: str, est_wav: str) -> float:
         raise DataError(f"scorer {scorer_cmd[0]!r} printed no number: {proc.stdout[:200]!r}") from None
 
 
-def read_eval_manifest(path: str) -> list[tuple[str, str, float]]:
+def read_eval_manifest(path: str) -> list[tuple[int, str, str, float]]:
     """Lines: `<clean_rel> <noise_rel> <snr_db>`, paths relative to the
-    manifest directory."""
+    manifest directory. Each row is (line number, clean, noise, snr_db)."""
     base = os.path.dirname(os.path.abspath(path))
     rows = []
     try:
@@ -271,7 +271,7 @@ def read_eval_manifest(path: str) -> list[tuple[str, str, float]]:
                 raise ValueError
         except ValueError:
             raise DataError(f"{path}:{lineno}: snr_db {parts[2]!r} is not a finite number") from None
-        rows.append((os.path.join(base, parts[0]), os.path.join(base, parts[1]), snr))
+        rows.append((lineno, os.path.join(base, parts[0]), os.path.join(base, parts[1]), snr))
     if not rows:
         raise DataError(f"{path}: empty evaluation manifest")
     return rows
@@ -306,9 +306,11 @@ def score_model(
     def push(metric: str, snr: float, value: float) -> None:
         acc.setdefault(metric, {}).setdefault(snr, []).append(value)
 
-    for i, (clean_path, noise_path, snr) in enumerate(entries):
-        clean = dsp.read_wav(clean_path)
-        noise = dsp.read_wav(noise_path)
+    for i, (lineno, clean_path, noise_path, snr) in enumerate(entries):
+        try:
+            clean, noise = dsp.read_wav(clean_path), dsp.read_wav(noise_path)
+        except OSError as e:
+            raise DataError(f"{manifest_path}:{lineno}: cannot read WAV: {e}") from None
         rng = np.random.default_rng([seed, i])
         mixture, _ = dsp.mix_at_snr(clean, noise, snr, rng)
         enhanced = enhance(model, mixture)
@@ -323,7 +325,7 @@ def score_model(
                 dsp.write_wav(est, enhanced, "float32")
                 push("external", snr, external_score(scorer_cmd, ref, est))
 
-    snrs = sorted({snr for _, _, snr in entries})
+    snrs = sorted({snr for *_, snr in entries})
     rows = {
         metric: {s: float(np.mean(vals[s])) for s in snrs if s in vals}
         for metric, vals in acc.items()

@@ -98,11 +98,11 @@ def param_count_str(n: int) -> str:
 
 
 def enhance(model: EnhancementModel, noisy: dsp.Waveform) -> dsp.Waveform:
-    """Run the full pipeline: analyze, mask, resynthesize at input length."""
-    spec = dsp.stft(noisy)
+    """Run the full pipeline: analyze, mask, resynthesize at input length.
+    The STFT runs again for the mask, so no spectrum is held through the forward."""
     with T.no_grad():
-        mask = model(spec.magnitude.astype(model.dtype))
-    masked = dsp.apply_mask(spec, dsp.Mask(mask.data.astype(np.float64)))
+        mask = model(dsp.stft(noisy).magnitude.astype(model.dtype))
+    masked = dsp.apply_mask(dsp.stft(noisy), dsp.Mask(mask.data.astype(np.float64)))
     return dsp.istft(masked, len(noisy))
 
 

@@ -190,15 +190,16 @@ class MambaCore(Module):
         di, ds, dr = self.d_inner, self.d_state, self.dt_rank
         h = self.in_proj(self.norm(x))  # [..., L, 2*d_inner]
         u = T.silu(self.conv(h[..., :di], causal=True))
-        z = h[..., di:]
+        gate = T.silu(h[..., di:])
+        del h  # unrecorded, an array lives only while named: drop each after its last read
         dbc = self.x_proj(u)  # [..., L, dt_rank + 2*d_state]
         delta = T.softplus(self.dt_proj(dbc[..., :dr]))
         B = dbc[..., dr:dr + ds]
         C = dbc[..., dr + ds:]
         A = T.neg(T.exp(self.A_log))
         y = selective_scan_par(u, delta, A, B, C, self.D)
-        y = T.mul(y, T.silu(z))
-        return self.out_proj(y)
+        del u, dbc, delta, B, C
+        return self.out_proj(T.mul(y, gate))
 
 
 class MambaBlock(Module):

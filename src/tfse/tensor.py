@@ -141,9 +141,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_scalar(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self.op!r})"
 
@@ -605,10 +602,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
     lo = k - 1 if causal else (k - 1) // 2
     kd = kernel.data
     xp = np.pad(x.data, ((0, 0),) * (x.ndim - 2) + ((lo, k - 1 - lo), (0, 0)))
-    out = xp[..., :L, :] * kd[0]
-    term = np.empty_like(out)
-    for j in range(1, k):
-        out += np.multiply(xp[..., j:j + L, :], kd[j], out=term)
+    out = np.einsum("...kcl,kc->...lc", np.lib.stride_tricks.sliding_window_view(xp, L, axis=-2), kd)
     if bias is not None:
         out += bias.data
 

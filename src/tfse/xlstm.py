@@ -281,22 +281,24 @@ class MLSTMCore(Module):
         *lead, L, _ = x.shape
         H, dh, di = self.heads, self.d_head, self.d_inner
         up = self.up_proj(self.norm(x))  # [..., L, 2*d_inner]
-        z = up[..., di:]
         xc = T.silu(self.conv(up[..., :di], causal=True))
+        gate = T.silu(up[..., di:])
+        del up  # unrecorded, an array lives only while named: drop each after its last read
         q = project_heads(xc, self.q_proj.w, H)
         k = T.mul(project_heads(xc, self.k_proj.w, H), dh ** -0.5)
         v = project_heads(xc, self.v_proj.w, H)
         gates = (-1, L, H), (0, 2, 1), (-1, L)  # [..., L, H] -> [N * H, L]
         ig = T.rearrange(self.i_gate(xc), *gates)
         fg = T.rearrange(self.f_gate(xc), *gates)
+        h = mlstm_scan(q, k, v, ig, fg)
+        del q, k, v, ig, fg
         # [N * H, L, dh] -> [..., L, d_inner] with features in d-major order (index d * H + head)
-        h = T.rearrange(mlstm_scan(q, k, v, ig, fg), (-1, H, L, dh), (0, 2, 3, 1), (*lead, L, di))
+        h = T.rearrange(h, (-1, H, L, dh), (0, 2, 3, 1), (*lead, L, di))
         if not np.all(np.isfinite(h.data)):
             raise NumericError("mlstm scan produced non-finite state")
         h = T.layer_norm(h, self.out_gain, groups=H)  # per group of d_head consecutive features
         h = T.add(h, T.mul(self.skip, xc))
-        h = T.mul(h, T.silu(z))
-        return self.down_proj(h)
+        return self.down_proj(T.mul(h, gate))
 
 
 class MLSTMBlock(Module):

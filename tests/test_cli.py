@@ -262,13 +262,17 @@ BAD_INPUT_FILES = {
         "eval.txt", "c\0.wav n.wav 0\n",
         ["score", "--checkpoint", "{tmp}/ck", "--manifest", "{tmp}/eval.txt"], "eval.txt:1",
     ),
+    "eval-manifest-missing-wav": (
+        "eval.txt", "# header\nnope.wav n.wav 0\n",
+        ["score", "--checkpoint", "{ck}", "--manifest", "{tmp}/eval.txt"], "eval.txt:2: cannot read",
+    ),
 }
 
 
 @pytest.mark.parametrize("name, text, argv, where", BAD_INPUT_FILES.values(), ids=BAD_INPUT_FILES.keys())
-def test_bad_input_file_is_a_clean_error(name, text, argv, where, tmp_path, capsys):
+def test_bad_input_file_is_a_clean_error(name, text, argv, where, trained_out, tmp_path, capsys):
     (tmp_path / name).write_text(text)
-    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert cli.main([a.format(tmp=tmp_path, ck=latest_ckpt(trained_out)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
 

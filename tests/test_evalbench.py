@@ -172,8 +172,8 @@ class TestEvalManifest:
         m.write_text("# comment\nclean.wav noisy.wav 5\n\nc2.wav n2.wav -2.5\n")
         rows = read_eval_manifest(str(m))
         assert rows == [
-            (str(tmp_path / "clean.wav"), str(tmp_path / "noisy.wav"), 5.0),
-            (str(tmp_path / "c2.wav"), str(tmp_path / "n2.wav"), -2.5),
+            (2, str(tmp_path / "clean.wav"), str(tmp_path / "noisy.wav"), 5.0),
+            (4, str(tmp_path / "c2.wav"), str(tmp_path / "n2.wav"), -2.5),
         ]
 
     def test_malformed_line_rejected(self, tmp_path):

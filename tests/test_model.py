@@ -289,3 +289,28 @@ class TestWaveformPipeline:
         out = enhance(model, w)
         lo, hi = dsp.HOP, 6000 - dsp.HOP
         np.testing.assert_allclose(out.samples[lo:hi], w.samples[lo:hi], atol=1e-7)
+
+    @pytest.mark.parametrize("preset", ["toy-mamba", "toy-xlstm", "toy-conformer"])
+    def test_enhance_is_the_held_spectrum_composition(self, rng, preset):
+        # enhance runs the STFT twice instead of holding the spectrum; the bits must not notice
+        model = build_model(preset_config(preset).model_config())
+        w = dsp.Waveform(rng.uniform(-0.5, 0.5, 9000))
+        spec = dsp.stft(w)
+        with no_grad():
+            mask = model(spec.magnitude.astype(model.dtype)).data.astype(np.float64)
+        want = dsp.istft(dsp.apply_mask(spec, dsp.Mask(mask)), len(w))
+        assert enhance(model, w).samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("preset", ["mamba-7", "xlstm-7"])
+    def test_long_clip_peak_holds_only_live_arrays(self, rng, preset):
+        # one 40 s clip: a spectrum, in-projection output or scan inputs held
+        # past their last read would add 10-15 MB each to a peak of about 37 MB
+        model = build_model(preset_config(preset).model_config())
+        w = dsp.Waveform(rng.uniform(-0.5, 0.5, 40 * dsp.SAMPLE_RATE))
+        tracemalloc.start()
+        try:
+            enhance(model, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42e6
