@@ -81,6 +81,8 @@ class ModelConfig:
             raise ConfigError(f"pe: sin needs an even d_model, got {self.d_model}")
         if self.backbone in ("xlstm", "c-bixlstm", "p-bixlstm"):
             d_inner = int(round(self.proj_factor * self.d_model))
+            if d_inner < heads * QKV_BLOCK_SIZE:
+                raise ConfigError(f"proj_factor: d_inner {d_inner} is below {heads} heads x block size {QKV_BLOCK_SIZE}")
             if d_inner % (heads * QKV_BLOCK_SIZE):
                 raise ConfigError(f"heads: d_inner {d_inner} not a multiple of {heads} heads x block size {QKV_BLOCK_SIZE}")
         return self

@@ -20,31 +20,29 @@ from . import pe as PE
 from . import tensor as T
 from .archive import load_tensors, save_tensors
 from .attention import ConformerBlock, TransformerBlock
-from .config import ATTENTION_BACKBONES, N_BINS, ModelConfig, RunConfig, read_config, write_config
-from .errors import ConfigError, DimensionError
-from .module import LayerNorm, Linear, Module
-from .ssm import BiMambaBlock, MambaBlock
+from .config import N_BINS, ModelConfig, RunConfig, read_config, write_config
+from .errors import DimensionError
+from .module import Bidirectional, LayerNorm, Linear, Module, Residual
+from .ssm import MambaCore
 from .tensor import Tensor
-from .xlstm import CBiXLSTMBlock, MLSTMBlock, PBiXLSTMBlock
+from .xlstm import CBiXLSTMBlock, MLSTMCore
 
 
-def _make_block(cfg: ModelConfig, rng, dtype):
-    heads = cfg.resolved_heads()
-    if cfg.backbone == "transformer":
-        return TransformerBlock(cfg.d_model, cfg.d_ff, heads, rng, dtype)
-    if cfg.backbone == "conformer":
-        return ConformerBlock(cfg.d_model, cfg.d_ff, heads, rng, dtype, cfg.conv_kernel)
-    if cfg.backbone == "mamba":
-        return MambaBlock(cfg.d_model, rng, dtype, cfg.d_state, cfg.expand, cfg.d_conv)
-    if cfg.backbone == "bimamba":
-        return BiMambaBlock(cfg.d_model, rng, dtype, cfg.d_state, cfg.expand, cfg.d_conv)
-    if cfg.backbone == "xlstm":
-        return MLSTMBlock(cfg.d_model, rng, dtype, heads, cfg.proj_factor)
-    if cfg.backbone == "c-bixlstm":
-        return CBiXLSTMBlock(cfg.d_model, rng, dtype, heads, cfg.proj_factor)
-    if cfg.backbone == "p-bixlstm":
-        return PBiXLSTMBlock(cfg.d_model, rng, dtype, heads, cfg.proj_factor)
-    raise ConfigError(f"backbone: unknown value {cfg.backbone!r}")
+def _make_block(c: ModelConfig, rng, dtype) -> Module:
+    """One block of backbone c.backbone, called as block(x); fwd draws its weights before bwd."""
+    heads, rope = c.resolved_heads(), c.pe == "rope"
+    mamba = lambda: MambaCore(c.d_model, rng, dtype, c.d_state, c.expand, c.d_conv)
+    mlstm = lambda: MLSTMCore(c.d_model, rng, dtype, heads, c.proj_factor)
+    by_backbone = {
+        "transformer": lambda: TransformerBlock(c.d_model, c.d_ff, heads, rng, dtype, c.causal, rope),
+        "conformer": lambda: ConformerBlock(c.d_model, c.d_ff, heads, rng, dtype, c.conv_kernel, c.causal, rope),
+        "mamba": lambda: Residual(mamba()),
+        "bimamba": lambda: Bidirectional(mamba(), mamba()),
+        "xlstm": lambda: Residual(mlstm()),
+        "c-bixlstm": lambda: CBiXLSTMBlock(Residual(mlstm()), Residual(mlstm())),
+        "p-bixlstm": lambda: Bidirectional(mlstm(), mlstm()),
+    }
+    return by_backbone[c.backbone]()
 
 
 class EnhancementModel(Module):
@@ -75,10 +73,8 @@ class EnhancementModel(Module):
         h = self.input_proj(T.relu(self.input_norm(x)))
         if self.cfg.pe == "sin":
             h = PE.add_sinusoidal(h)
-        attention = self.cfg.backbone in ATTENTION_BACKBONES
-        rope = self.cfg.pe == "rope"
         for blk in self.blocks:
-            h = blk(h, self.cfg.causal, rope) if attention else blk(h)
+            h = blk(h)
         return T.sigmoid(self.output_proj(h))
 
 

@@ -1,4 +1,4 @@
-"""Parameter containers and the shared trainable layers.
+"""Parameter containers, the shared trainable layers and the block wrappers.
 
 Initialization scheme (applies everywhere unless a layer documents
 otherwise): weights are uniform on [-1/sqrt(fan_in), 1/sqrt(fan_in)] drawn
@@ -18,7 +18,7 @@ from .tensor import Tensor
 
 
 class Module:
-    """Base class; walks attributes to enumerate parameters in order."""
+    """Base class: called as module(x), settings fixed at build; walks attributes to list parameters in order."""
 
     def named_parameters(self, prefix: str = ""):
         for name, val in vars(self).items():
@@ -74,14 +74,15 @@ class LayerNorm(Module):
 
 
 class DepthwiseConv1d(Module):
-    """Per-channel 1-D convolution, kernel [k, C], with a bias."""
+    """Per-channel 1-D convolution, kernel [k, C], with a bias; causal or centred, fixed at build."""
 
-    def __init__(self, channels: int, k: int, rng: np.random.Generator, dtype):
+    def __init__(self, channels: int, k: int, rng: np.random.Generator, dtype, causal: bool = False):
         self.kernel = _uniform(rng, (k, channels), k, dtype)
         self.b = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+        self.causal = causal
 
-    def __call__(self, x: Tensor, causal: bool = False) -> Tensor:
-        return T.depthwise_conv1d(x, self.kernel, self.b, causal=causal)
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.depthwise_conv1d(x, self.kernel, self.b, causal=self.causal)
 
 
 class BlockDiagonal(Module):
@@ -90,3 +91,26 @@ class BlockDiagonal(Module):
 
     def __init__(self, n_blocks: int, block_size: int, rng: np.random.Generator, dtype):
         self.w = _uniform(rng, (n_blocks, block_size, block_size), block_size, dtype)
+
+
+class Residual(Module):
+    """Residual block around a pre-normed mixer: x + core(x)."""
+
+    def __init__(self, core: Module):
+        self.core = core
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.add(x, self.core(x))
+
+
+class Bidirectional(Module):
+    """Two mixers with their own parameters and one shared residual, bwd on the
+    time-reversed input: y = x + fwd(x) + reverse(bwd(reverse(x)))."""
+
+    def __init__(self, fwd: Module, bwd: Module):
+        self.fwd = fwd
+        self.bwd = bwd
+
+    def __call__(self, x: Tensor) -> Tensor:
+        back = self.bwd(x[..., ::-1, :])[..., ::-1, :]  # frames, not the batch
+        return T.add(x, T.add(self.fwd(x), back))

@@ -1,4 +1,5 @@
-"""Selective state-space blocks with a sequential reference scan and a fused scan.
+"""Selective state-space mixer with a sequential reference scan and a fused scan.
+Blocks wrap MambaCore: module.Residual (mamba) or module.Bidirectional (bimamba).
 
 The recurrence per channel and state dim is
 
@@ -175,7 +176,7 @@ class MambaCore(Module):
         self.dt_rank = dt_rank
         self.norm = LayerNorm(d_model, dtype)
         self.in_proj = Linear(d_model, 2 * d_inner, rng, dtype, bias=False)
-        self.conv = DepthwiseConv1d(d_inner, d_conv, rng, dtype)
+        self.conv = DepthwiseConv1d(d_inner, d_conv, rng, dtype, causal=True)
         self.x_proj = Linear(d_inner, dt_rank + 2 * d_state, rng, dtype, bias=False)
         self.dt_proj = Linear(dt_rank, d_inner, rng, dtype)
         if rng is not None:
@@ -189,7 +190,7 @@ class MambaCore(Module):
     def __call__(self, x: Tensor) -> Tensor:
         di, ds, dr = self.d_inner, self.d_state, self.dt_rank
         h = self.in_proj(self.norm(x))  # [..., L, 2*d_inner]
-        u = T.silu(self.conv(h[..., :di], causal=True))
+        u = T.silu(self.conv(h[..., :di]))
         gate = T.silu(h[..., di:])
         del h  # unrecorded, an array lives only while named: drop each after its last read
         dbc = self.x_proj(u)  # [..., L, dt_rank + 2*d_state]
@@ -200,30 +201,3 @@ class MambaCore(Module):
         y = selective_scan_par(u, delta, A, B, C, self.D)
         del u, dbc, delta, B, C
         return self.out_proj(T.mul(y, gate))
-
-
-class MambaBlock(Module):
-    """Causal residual block: x + core(x)."""
-
-    def __init__(self, d_model: int, rng, dtype, d_state: int = 16, expand: int = 2, d_conv: int = 4):
-        self.core = MambaCore(d_model, rng, dtype, d_state, expand, d_conv)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add(x, self.core(x))
-
-
-class BiMambaBlock(Module):
-    """External bidirectional block with one shared residual.
-
-    The two directional cores carry their own pre-norms and parameters;
-    the backward core runs on the time-reversed input and its output is
-    reversed back: y = x + fwd(x) + reverse(bwd(reverse(x))).
-    """
-
-    def __init__(self, d_model: int, rng, dtype, d_state: int = 16, expand: int = 2, d_conv: int = 4):
-        self.fwd = MambaCore(d_model, rng, dtype, d_state, expand, d_conv)
-        self.bwd = MambaCore(d_model, rng, dtype, d_state, expand, d_conv)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        back = self.bwd(x[..., ::-1, :])[..., ::-1, :]  # frames, not the batch
-        return T.add(x, T.add(self.fwd(x), back))

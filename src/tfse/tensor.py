@@ -394,7 +394,7 @@ def relu(a: Tensor) -> Tensor:
     def grad_fn(g):
         a._accumulate(g * mask, owned=True)
 
-    return _make(np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False), (a,), grad_fn, "relu")
+    return _make(np.maximum(a.data, 0), (a,), grad_fn, "relu")  # passes NaN on, where a mask would zero it
 
 
 def silu(a: Tensor) -> Tensor:

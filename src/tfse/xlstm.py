@@ -1,4 +1,6 @@
-"""Matrix-memory LSTM blocks with stabilized exponential gating.
+"""Matrix-memory LSTM mixer with stabilized exponential gating. Blocks wrap
+MLSTMCore: module.Residual (xlstm), module.Bidirectional (p-bixlstm), or two
+Residual blocks cascaded in CBiXLSTMBlock (c-bixlstm).
 
 The cell keeps, per head, a matrix memory C [d_head, d_head], a normalizer
 n [d_head], and a running stabilizer m (the max of the log-domain gate
@@ -46,7 +48,7 @@ import numpy as np
 from . import tensor as T
 from .config import QKV_BLOCK_SIZE
 from .errors import ConfigError, NumericError
-from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module
+from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module, Residual
 from .tensor import Tensor
 
 CONV_WIDTH = 4
@@ -265,7 +267,7 @@ class MLSTMCore(Module):
         self.d_head = d_inner // heads
         self.norm = LayerNorm(d_model, dtype)
         self.up_proj = Linear(d_model, 2 * d_inner, rng, dtype, bias=False)
-        self.conv = DepthwiseConv1d(d_inner, CONV_WIDTH, rng, dtype)
+        self.conv = DepthwiseConv1d(d_inner, CONV_WIDTH, rng, dtype, causal=True)
         n_blocks = d_inner // QKV_BLOCK_SIZE
         self.q_proj = BlockDiagonal(n_blocks, QKV_BLOCK_SIZE, rng, dtype)
         self.k_proj = BlockDiagonal(n_blocks, QKV_BLOCK_SIZE, rng, dtype)
@@ -281,7 +283,7 @@ class MLSTMCore(Module):
         *lead, L, _ = x.shape
         H, dh, di = self.heads, self.d_head, self.d_inner
         up = self.up_proj(self.norm(x))  # [..., L, 2*d_inner]
-        xc = T.silu(self.conv(up[..., :di], causal=True))
+        xc = T.silu(self.conv(up[..., :di]))
         gate = T.silu(up[..., di:])
         del up  # unrecorded, an array lives only while named: drop each after its last read
         q = project_heads(xc, self.q_proj.w, H)
@@ -301,37 +303,14 @@ class MLSTMCore(Module):
         return self.down_proj(T.mul(h, gate))
 
 
-class MLSTMBlock(Module):
-    """Causal residual block: x + core(x)."""
-
-    def __init__(self, d_model: int, rng, dtype, heads: int = 4, proj_factor: float = 2.0):
-        self.core = MLSTMCore(d_model, rng, dtype, heads, proj_factor)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add(x, self.core(x))
-
-
 class CBiXLSTMBlock(Module):
-    """Cascaded bidirectional pair: a forward block, then a backward block
-    run on the reversed intermediate, reversed back:
+    """Cascaded bidirectional pair of residual blocks: the backward block runs
+    on the reversed output of the forward one, reversed back:
     y = reverse(bwd(reverse(fwd(x))))."""
 
-    def __init__(self, d_model: int, rng, dtype, heads: int = 4, proj_factor: float = 2.0):
-        self.fwd = MLSTMBlock(d_model, rng, dtype, heads, proj_factor)
-        self.bwd = MLSTMBlock(d_model, rng, dtype, heads, proj_factor)
+    def __init__(self, fwd: Residual, bwd: Residual):
+        self.fwd = fwd
+        self.bwd = bwd
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.bwd(self.fwd(x)[..., ::-1, :])[..., ::-1, :]  # frames, not the batch
-
-
-class PBiXLSTMBlock(Module):
-    """Parallel bidirectional pair with one shared residual:
-    y = x + fwd_core(x) + reverse(bwd_core(reverse(x)))."""
-
-    def __init__(self, d_model: int, rng, dtype, heads: int = 4, proj_factor: float = 2.0):
-        self.fwd = MLSTMCore(d_model, rng, dtype, heads, proj_factor)
-        self.bwd = MLSTMCore(d_model, rng, dtype, heads, proj_factor)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        back = self.bwd(x[..., ::-1, :])[..., ::-1, :]  # frames, not the batch
-        return T.add(x, T.add(self.fwd(x), back))

@@ -16,17 +16,12 @@ from tfse.attention import ConformerBlock, TransformerBlock
 from tfse.config import RunConfig, read_config, resolve_config_arg, shipped_config_names
 from tfse.evalbench import estoi, measure_rtf, measure_train_step
 from tfse.model import build_model, count_params, enhance, load_model
-from tfse.ssm import BiMambaBlock, MambaBlock, selective_scan_par, selective_scan_seq
+from tfse.module import Bidirectional, Residual
+from tfse.ssm import MambaCore, selective_scan_par, selective_scan_seq
 from tfse.synth import filtered_noise, make_corpus, tonal_speech
 from tfse.tensor import Tensor, grad_check, grad_check_params, no_grad
 from tfse.training import lr_at, train
-from tfse.xlstm import (
-    CBiXLSTMBlock,
-    MLSTMBlock,
-    MLSTMState,
-    PBiXLSTMBlock,
-    mlstm_cell_step,
-)
+from tfse.xlstm import CBiXLSTMBlock, MLSTMCore, MLSTMState, mlstm_cell_step
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -215,30 +210,29 @@ def test_c04_stabilized_recurrence_matches_naive_and_survives_extremes():
 def test_c05_block_gradients_match_finite_differences():
     # h=1e-4 for the post-norm attention blocks: their true gradients at init
     # are ~1e-6 while the loss is O(10), so smaller h drowns in FD cancellation
+    def mamba(r):
+        return MambaCore(16, r, np.float64, d_state=4)
+
+    def mlstm(r):
+        return MLSTMCore(16, r, np.float64, heads=4)
+
     cases = [
-        ("transformer", lambda r: TransformerBlock(16, 32, 4, r, np.float64),
-         lambda b, x: b(x, True), 1e-4),
-        ("conformer", lambda r: ConformerBlock(16, 32, 4, r, np.float64, conv_kernel=7),
-         lambda b, x: b(x, True), 1e-4),
-        ("mamba", lambda r: MambaBlock(16, r, np.float64, d_state=4),
-         lambda b, x: b(x), 1e-5),
-        ("bimamba", lambda r: BiMambaBlock(16, r, np.float64, d_state=4),
-         lambda b, x: b(x), 1e-5),
-        ("mlstm", lambda r: MLSTMBlock(16, r, np.float64, heads=4),
-         lambda b, x: b(x), 1e-5),
-        ("c-bixlstm", lambda r: CBiXLSTMBlock(16, r, np.float64, heads=4),
-         lambda b, x: b(x), 1e-5),
-        ("p-bixlstm", lambda r: PBiXLSTMBlock(16, r, np.float64, heads=4),
-         lambda b, x: b(x), 1e-5),
+        ("transformer", lambda r: TransformerBlock(16, 32, 4, r, np.float64, causal=True), 1e-4),
+        ("conformer", lambda r: ConformerBlock(16, 32, 4, r, np.float64, conv_kernel=7, causal=True), 1e-4),
+        ("mamba", lambda r: Residual(mamba(r)), 1e-5),
+        ("bimamba", lambda r: Bidirectional(mamba(r), mamba(r)), 1e-5),
+        ("mlstm", lambda r: Residual(mlstm(r)), 1e-5),
+        ("c-bixlstm", lambda r: CBiXLSTMBlock(Residual(mlstm(r)), Residual(mlstm(r))), 1e-5),
+        ("p-bixlstm", lambda r: Bidirectional(mlstm(r), mlstm(r)), 1e-5),
     ]
     rng = np.random.default_rng(3)
     worst, worst_at = 0.0, ""
-    for name, make, run, h in cases:
+    for name, make, h in cases:
         block = make(np.random.default_rng(1))
         x = Tensor(0.5 * rng.normal(size=(6, 16)), requires_grad=True)
 
         def loss_fn():
-            y = run(block, x)
+            y = block(x)
             return T.mean(T.mul(y, y))
 
         errs = grad_check_params(loss_fn, block.named_parameters(), h=h)

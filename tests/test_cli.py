@@ -9,7 +9,7 @@ import pytest
 from tfse import cli
 from tfse.config import read_config
 from tfse.dsp import read_wav, write_wav
-from tfse.model import build_model, count_params
+from tfse.model import build_model, count_params, save_model
 from tfse.synth import tonal_speech
 
 
@@ -93,6 +93,22 @@ class TestEnhance:
         ])
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["clip_0.wav", "clip_1.wav"]
+
+    def test_nan_weight_reaches_the_mask_check(self, tmp_path, capsys):
+        # relu passes NaN on: one NaN weight must stop enhance, not turn into a finite WAV
+        cfg_path = tmp_path / "toy.cfg"
+        cfg_path.write_text("backbone = transformer\nblocks = 1\ncausal = true\nd_model = 16\nd_ff = 32\nheads = 2\n")
+        rc = read_config(str(cfg_path))
+        model = build_model(rc.model_config(), seed=0)
+        dict(model.named_parameters())["blocks.0.ffn_in.w"].data[0, 0] = np.nan
+        ckpt = str(tmp_path / "ckpt")
+        save_model(ckpt, model, rc)
+        wav_in, wav_out = str(tmp_path / "in.wav"), str(tmp_path / "out.wav")
+        write_wav(wav_in, tonal_speech(np.random.default_rng(0), 0.5), "pcm16")
+        code = cli.main(["enhance", "--checkpoint", ckpt, "--in", wav_in, "--out", wav_out])
+        assert code == 2
+        assert "mask contains non-finite values" in capsys.readouterr().err
+        assert not os.path.exists(wav_out)
 
     def test_missing_input_is_a_clean_error(self, trained_out, tmp_path, capsys):
         ckpt = latest_ckpt(trained_out)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfse import cli
 from tfse.config import (
     BACKBONES,
     ModelConfig,
@@ -126,6 +127,18 @@ class TestModelValidation:
             return
         with pytest.raises(ConfigError, match=r"4 heads x block size 4"):
             cfg.validate()
+
+    @pytest.mark.parametrize("backbone", ["xlstm", "c-bixlstm", "p-bixlstm"])
+    def test_xlstm_d_inner_that_rounds_to_zero_names_proj_factor(self, backbone, tmp_path, capsys):
+        # round(0.01 * 16) = 0 is a multiple of every block size, yet leaves no q/k/v block
+        causal = backbone == "xlstm"
+        cfg = ModelConfig(backbone=backbone, causal=causal, d_model=16, proj_factor=0.01)
+        with pytest.raises(ConfigError, match=r"^proj_factor: d_inner 0 is below 4 heads x block size 4$"):
+            cfg.validate()
+        path = tmp_path / "tiny.cfg"
+        path.write_text(f"backbone = {backbone}\ncausal = {str(causal).lower()}\nd_model = 16\nproj_factor = 0.01\n")
+        assert cli.main(["params", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: proj_factor: d_inner 0 is below 4 heads x block size 4\n"
 
     def test_default_heads_resolve_per_family(self):
         assert ModelConfig(backbone="transformer").resolved_heads() == 8

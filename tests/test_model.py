@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tfse import dsp
-from tfse.config import RunConfig, read_config, resolve_config_arg
+from tfse.config import NONCAUSAL_ONLY, RunConfig, read_config, resolve_config_arg
 from tfse.errors import ConfigError, DimensionError
 from tfse.model import (
     build_model,
@@ -72,6 +72,47 @@ class TestParameterBudgets:
 
     def test_param_count_string_format(self):
         assert param_count_str(3_291_651) == "3.29M (3,291,651)"
+
+
+# 1-block models at TINY widths: parameter count, and the distinct name prefixes inside
+# blocks.0 in archive order. A wrapper attribute (core, fwd, bwd) is part of every name
+# below it, so a renamed wrapper or a reordered build breaks stored checkpoints here.
+BLOCK_NAMES = {
+    "transformer": (25_795, ["attn", "norm1", "ffn_in", "ffn_out", "norm2"]),
+    "conformer": (33_667, [
+        "ffn1_norm", "ffn1_in", "ffn1_out", "attn_norm", "attn", "conv_norm", "conv_in",
+        "conv_dw", "conv_mid_norm", "conv_out", "ffn2_norm", "ffn2_in", "ffn2_out", "final_norm",
+    ]),
+    "mamba": (24_931, ["core"]),
+    "bimamba": (32_611, ["fwd", "bwd"]),
+    "xlstm": (25_195, ["core"]),
+    "c-bixlstm": (33_139, ["fwd.core", "bwd.core"]),
+    "p-bixlstm": (33_139, ["fwd", "bwd"]),
+}
+
+
+def name_prefixes(model) -> list[str]:
+    """Distinct prefixes of the parameter names, in order: a top-level attribute, or in a
+    block the wrapper attributes down to its mixer, else the block's first sub-name."""
+    prefixes = []
+    for name, _ in model.named_parameters():
+        head, *rest = name.split(".")
+        if head == "blocks":
+            index, *sub = rest
+            n = next(i for i, part in enumerate(sub) if part not in ("core", "fwd", "bwd"))
+            head = f"blocks.{index}." + ".".join(sub[:max(n, 1)])
+        if head not in prefixes:
+            prefixes.append(head)
+    return prefixes
+
+
+class TestParameterNames:
+    @pytest.mark.parametrize("backbone", BLOCK_NAMES)
+    def test_one_block_names_and_count(self, backbone):
+        model = tiny_model(backbone, causal=backbone not in NONCAUSAL_ONLY, blocks=1)
+        count, block = BLOCK_NAMES[backbone]
+        assert name_prefixes(model) == ["input_norm", "input_proj", *(f"blocks.0.{p}" for p in block), "output_proj"]
+        assert count_params(model) == count
 
 
 class TestMaskOutput:

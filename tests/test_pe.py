@@ -101,11 +101,11 @@ class TestRotary:
         w = Tensor(rng.normal(size=(2, 5, 6)))
         x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
         assert grad_check(lambda t: T.sum_(T.mul(pe.apply_rotary(t, cos, sin), w)), x) < 1e-6
-        mhsa = MultiHeadSelfAttention(8, 2, np.random.default_rng(7), np.float64)
+        mhsa = MultiHeadSelfAttention(8, 2, np.random.default_rng(7), np.float64, causal=True, rope=True)
         xa = Tensor(rng.normal(size=(6, 8)))
 
         def loss_fn():
-            y = mhsa(xa, causal=True, rope=True)
+            y = mhsa(xa)
             return T.sum_(T.mul(y, y))
 
         errs = grad_check_params(loss_fn, mhsa.named_parameters(), h=1e-6)

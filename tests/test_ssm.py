@@ -10,14 +10,8 @@ import pytest
 from tfse import ssm
 from tfse import tensor as T
 from tfse.errors import NumericError
-from tfse.ssm import (
-    SEG,
-    BiMambaBlock,
-    MambaBlock,
-    MambaCore,
-    selective_scan_par,
-    selective_scan_seq,
-)
+from tfse.module import Bidirectional, Residual
+from tfse.ssm import SEG, MambaCore, selective_scan_par, selective_scan_seq
 from tfse.tensor import CompGraph, Tensor, grad_check, grad_check_params, no_grad
 
 F64 = np.float64
@@ -262,15 +256,20 @@ class TestMambaCore:
         assert max(errs.values()) < 1e-3, errs
 
 
+def bimamba_block(seed):
+    r = np.random.default_rng(seed)
+    return Bidirectional(MambaCore(16, r, F64, d_state=4), MambaCore(16, r, F64, d_state=4))
+
+
 class TestMambaBlocks:
     def test_residual_definition(self, rng):
-        blk = MambaBlock(16, np.random.default_rng(5), F64, d_state=4)
+        blk = Residual(MambaCore(16, np.random.default_rng(5), F64, d_state=4))
         x = Tensor(rng.normal(size=(10, 16)).astype(F64))
         with no_grad():
             np.testing.assert_array_equal(blk(x).data, x.data + blk.core(x).data)
 
     def test_bidirectional_composition_definition(self, rng):
-        blk = BiMambaBlock(16, np.random.default_rng(6), F64, d_state=4)
+        blk = bimamba_block(6)
         x = Tensor(rng.normal(size=(10, 16)).astype(F64))
         with no_grad():
             got = blk(x).data
@@ -279,7 +278,7 @@ class TestMambaBlocks:
         np.testing.assert_allclose(got, x.data + fwd + bwd, atol=1e-12)
 
     def test_bidirectional_block_reads_the_future(self, rng):
-        blk = BiMambaBlock(16, np.random.default_rng(6), F64, d_state=4)
+        blk = bimamba_block(6)
         x = rng.normal(size=(10, 16)).astype(F64)
         x2 = x.copy()
         x2[9] += rng.normal(size=16)
@@ -288,7 +287,7 @@ class TestMambaBlocks:
         assert d > 0.0
 
     def test_directions_use_distinct_parameters(self):
-        blk = BiMambaBlock(16, np.random.default_rng(6), F64, d_state=4)
+        blk = bimamba_block(6)
         names = [n for n, _ in blk.named_parameters()]
         assert any(n.startswith("fwd.") for n in names)
         assert any(n.startswith("bwd.") for n in names)

@@ -1,8 +1,12 @@
-"""Source hygiene: every import in the package and its tests is used, and
-`import tfse` leaves the training and evaluation modules unloaded."""
+"""Source hygiene: every import in the package and its tests is used,
+`import tfse` leaves the training and evaluation modules unloaded, and every
+module is called with one input."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +98,35 @@ def test_import_tfse_loads_training_and_evalbench_only_on_first_use():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "[] True True"], out.stderr
+
+
+def module_classes() -> list[type]:
+    """Every Module subclass defined in tfse, once each of its modules is imported."""
+    import tfse
+    from tfse.module import Module
+
+    for info in pkgutil.iter_modules(tfse.__path__):
+        importlib.import_module(f"tfse.{info.name}")
+    found, todo = [], [Module]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("tfse.") and sub not in found:
+                found.append(sub)
+                todo.append(sub)
+    return found
+
+
+def test_every_module_is_called_with_one_input():
+    # settings fixed for a whole model (causal, rope) are set at construction, not per call
+    classes = module_classes()
+    assert {"Residual", "Bidirectional", "TransformerBlock", "MambaCore", "EnhancementModel"} <= {
+        c.__name__ for c in classes
+    }
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    bad = []
+    for cls in classes:
+        if "__call__" in vars(cls):
+            _, *params = inspect.signature(cls.__call__).parameters.values()
+            if len(params) != 1 or params[0].kind not in positional:
+                bad.append(f"{cls.__module__}.{cls.__name__}{inspect.signature(cls.__call__)}")
+    assert bad == []

@@ -9,14 +9,13 @@ import pytest
 from tfse import tensor as T
 from tfse import xlstm
 from tfse.errors import ConfigError
+from tfse.module import Bidirectional, Residual
 from tfse.xlstm import (
     CHUNK,
     QKV_BLOCK_SIZE,
     CBiXLSTMBlock,
-    MLSTMBlock,
     MLSTMCore,
     MLSTMState,
-    PBiXLSTMBlock,
     mlstm_cell_step,
     mlstm_scan,
 )
@@ -283,7 +282,7 @@ class TestMLSTMCore:
         x = Tensor(rng.normal(size=shape))
         with no_grad():
             core(x)
-            xc = T.silu(core.conv(core.up_proj(core.norm(x))[..., :di], causal=True)).data
+            xc = T.silu(core.conv(core.up_proj(core.norm(x))[..., :di])).data
         L = shape[-2]
         for proj, got, scale in zip((core.q_proj, core.k_proj, core.v_proj), scanned[0], (1.0, dh ** -0.5, 1.0)):
             want = np.empty_like(xc)
@@ -319,9 +318,19 @@ class TestMLSTMCore:
         assert grad_check(loss_fn, x) < 1e-6
 
 
+def cbixlstm_block(seed):
+    r = np.random.default_rng(seed)
+    return CBiXLSTMBlock(Residual(MLSTMCore(16, r, F64)), Residual(MLSTMCore(16, r, F64)))
+
+
+def pbixlstm_block(seed):
+    r = np.random.default_rng(seed)
+    return Bidirectional(MLSTMCore(16, r, F64), MLSTMCore(16, r, F64))
+
+
 class TestBidirectionalBlocks:
     def test_cascaded_composition_definition(self, rng):
-        blk = CBiXLSTMBlock(16, np.random.default_rng(5), F64)
+        blk = cbixlstm_block(5)
         x = Tensor(rng.normal(size=(10, 16)).astype(F64))
         with no_grad():
             got = blk(x).data
@@ -330,7 +339,7 @@ class TestBidirectionalBlocks:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_parallel_composition_definition(self, rng):
-        blk = PBiXLSTMBlock(16, np.random.default_rng(6), F64)
+        blk = pbixlstm_block(6)
         x = Tensor(rng.normal(size=(10, 16)).astype(F64))
         with no_grad():
             got = blk(x).data
@@ -338,9 +347,9 @@ class TestBidirectionalBlocks:
             bwd = blk.bwd(Tensor(x.data[::-1].copy())).data[::-1]
         np.testing.assert_allclose(got, x.data + fwd + bwd, atol=1e-12)
 
-    @pytest.mark.parametrize("block_cls", [CBiXLSTMBlock, PBiXLSTMBlock])
-    def test_bidirectional_blocks_read_the_future(self, rng, block_cls):
-        blk = block_cls(16, np.random.default_rng(7), F64)
+    @pytest.mark.parametrize("make", [cbixlstm_block, pbixlstm_block], ids=["CBiXLSTMBlock", "PBiXLSTMBlock"])
+    def test_bidirectional_blocks_read_the_future(self, rng, make):
+        blk = make(7)
         x = rng.normal(size=(10, 16)).astype(F64)
         x2 = x.copy()
         x2[9] += rng.normal(size=16)
@@ -349,7 +358,7 @@ class TestBidirectionalBlocks:
         assert d > 0.0
 
     def test_causal_block_does_not(self, rng):
-        blk = MLSTMBlock(16, np.random.default_rng(8), F64)
+        blk = Residual(MLSTMCore(16, np.random.default_rng(8), F64))
         x = rng.normal(size=(10, 16)).astype(F64)
         x2 = x.copy()
         x2[9] += rng.normal(size=16)
