@@ -51,7 +51,7 @@ def _check_gradients() -> tuple[bool, str]:
     kernel = Tensor(rng.normal(size=(3, 4)).astype(np.float64))
 
     def f(t):
-        h = T.rearrange(T.matmul(t, w), (5, 2, 2), (2, 0, 1), (5, 4))  # a head split, permute and merge
+        h = T.rearrange(T.linear(t, w, b), (5, 2, 2), (2, 0, 1), (5, 4))  # a head split, permute and merge
         h = T.depthwise_conv1d(T.layer_norm(h, g, b), kernel, b)
         a = T.rearrange(h, (5, 2, 2), (1, 0, 2))  # two heads of two features
         return T.sum_(T.attention(a, T.silu(a), T.sigmoid(a), causal=True))

@@ -60,8 +60,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        return T.add(y, self.b) if self.b is not None else y
+        return T.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):

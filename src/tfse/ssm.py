@@ -109,7 +109,7 @@ def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
             starts[t // SEG] = h
         advance(h, t, a, h)
         np.matmul(C_t[t], h, out=y_t[t])
-    y += ud * Dd
+    y += np.multiply(ud, Dd, out=du if starts is None else None)  # into the dead du when no backward reads it
 
     def grad_fn(g):
         g = _time_major(g)

@@ -5,9 +5,9 @@ operation records a backward closure so scalar losses differentiate through
 arbitrary compositions. The op set is exactly what the enhancement models
 need: elementwise arithmetic and activations, batched matmul, one layout
 op (rearrange: reshape, permute, reshape) beside basic indexing and
-concat, sum and mean, and three fused ops of one node and a closed-form
-backward each: scaled dot-product attention, (grouped) layer norm and
-depthwise 1-D convolution.
+concat, sum and mean, and four fused ops of one node and a closed-form
+backward each: the affine map of a Linear layer, scaled dot-product
+attention, (grouped) layer norm and depthwise 1-D convolution.
 
 Gradient accumulation is additive: repeated backward() calls keep adding to
 leaf .grad buffers until zero_grad(). Intermediate grads are scratch: cleared
@@ -398,10 +398,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    s = _sigmoid_nd(a.data)
-    out = a.data * s
+    with np.errstate(over="ignore"):  # x / (1 + exp(-x)), one exp; where exp(-x) overflows, -0.0, the limit
+        d = np.exp(-a.data)
+    d += 1.0
+    out = a.data / d
 
     def grad_fn(g):
+        s = np.reciprocal(d)  # sigmoid(x)
         a._accumulate(g * (s + out * (1.0 - s)), owned=True)
 
     return _make(out, (a,), grad_fn, "silu")
@@ -430,23 +433,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    if bd.ndim == 2 and ad.ndim > 2:
-        # a weight under batched rows: one GEMM over the folded leading axes
-        # for the product and for the weight's gradient (no [..., k, n] stack)
-        rows = ad.reshape(-1, ad.shape[-1])
-
-        def grad_fn(g):
-            g = g.reshape(-1, g.shape[-1])
-            a._accumulate((g @ bd.T).reshape(ad.shape), owned=True)
-            b._accumulate(rows.T @ g, owned=True)
-
-        return _make((rows @ bd).reshape(*ad.shape[:-1], -1), (a, b), grad_fn, "matmul")
 
     def grad_fn(g):
         a._accumulate(np.matmul(g, bd.swapaxes(-1, -2)), owned=True)
         b._accumulate(np.matmul(ad.swapaxes(-1, -2), g), owned=True)
 
     return _make(np.matmul(ad, bd), (a, b), grad_fn, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) as one node for rows x [..., k], w [k, n] and a bias b [n]: one GEMM over the
+    folded leading axes for the product and for w's gradient (no [..., k, n] stack), b added in place."""
+    rows, wd = x.data.reshape(-1, x.shape[-1]), w.data
+    out = (rows @ wd).reshape(*x.shape[:-1], -1)
+    if b is not None:
+        out += b.data
+
+    def grad_fn(g):
+        if b is not None:
+            b._accumulate(g)  # summed over the unfolded leading axes, as an add node sums it
+        g = g.reshape(-1, g.shape[-1])
+        x._accumulate((g @ wd.T).reshape(x.shape), owned=True)
+        w._accumulate(rows.T @ g, owned=True)
+
+    return _make(out, (x, w) if b is None else (x, w, b), grad_fn, "linear")
 
 
 def rearrange(a: Tensor, shape, axes=None, to=None) -> Tensor:
@@ -562,13 +572,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
     return _make(np.matmul(p, vd), (q, k, v), grad_fn, "attention")
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:  # a.mean(-1, keepdims=True)'s bits, without np.mean's Python wrapper
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, groups: int = 1) -> Tensor:
     """Normalize each of `groups` equal runs of consecutive features on the
     last axis to zero mean / unit variance, then scale by gain and add bias."""
     xd = x.data
     xg = xd if groups == 1 else xd.reshape(*xd.shape[:-1], groups, xd.shape[-1] // groups)
-    xc = xg - xg.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = xg - _mean_last(xg)
+    var = _mean_last(xc * xc)
     rstd = (var + LAYER_NORM_EPS) ** -0.5
     xc *= rstd  # now x-hat, the normalized input
     normed = xc.reshape(xd.shape)
@@ -579,7 +593,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, groups: int 
     def grad_fn(g):
         if x.requires_grad:
             gh = (g * gain.data).reshape(xg.shape)
-            gh -= gh.mean(axis=-1, keepdims=True) + xc * (gh * xc).mean(axis=-1, keepdims=True)
+            gh -= _mean_last(gh) + xc * _mean_last(gh * xc)
             gh *= rstd
             x._accumulate(gh.reshape(xd.shape), owned=True)
         gain._accumulate(g * normed, owned=True)
@@ -601,7 +615,8 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
     L = x.shape[-2]
     lo = k - 1 if causal else (k - 1) // 2
     kd = kernel.data
-    xp = np.pad(x.data, ((0, 0),) * (x.ndim - 2) + ((lo, k - 1 - lo), (0, 0)))
+    xp = np.zeros((*x.shape[:-2], L + k - 1, c), dtype=x.dtype)  # zero-padded frames, np.pad's bits at half its cost
+    xp[..., lo:lo + L, :] = x.data
     out = np.einsum("...kcl,kc->...lc", np.lib.stride_tricks.sliding_window_view(xp, L, axis=-2), kd)
     if bias is not None:
         out += bias.data

@@ -116,12 +116,13 @@ def test_train_step_loss_is_the_mean_of_per_clip_losses_over_mixed_lengths(backb
         np.testing.assert_allclose(p.grad, np.clip(want_grad[name], -1, 1), rtol=1e-9, atol=1e-15, err_msg=name)
 
 
-# one node per head split or merge, per attention and per rotary pair swap:
-# a block that rebuilds a chain of layout or score/mask/softmax ops goes
-# over its preset's budget
+# one node per head split or merge, per attention, per rotary pair swap and
+# per Linear, bias included: a block that rebuilds a chain of layout,
+# score/mask/softmax or matmul-then-bias ops goes over its preset's budget
+# (each budget is its graph's own count)
 @pytest.mark.parametrize(
     "preset,budget",
-    [("xlstm-7", 190), ("transformer-4", 100), ("transformer-4-rope", 150), ("conformer-4", 195)],
+    [("xlstm-7", 170), ("mamba-7", 142), ("transformer-4", 73), ("transformer-4-rope", 121), ("conformer-4", 149)],
 )
 def test_train_step_graph_stays_within_its_node_budget(preset, budget, monkeypatch):
     model = build_model(read_config(resolve_config_arg(preset)).model_config(), seed=0)

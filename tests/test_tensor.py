@@ -410,6 +410,56 @@ class TestFusedNormAndConv:
         assert err < 1e-6
 
 
+class TestLinearAndSilu:
+    """T.linear against the folded matmul and the add it replaces, bit for
+    bit, and the one-exp SiLU against x * sigmoid(x)."""
+
+    @pytest.mark.parametrize("k", [1, 5, 64])
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+    def test_linear_is_matmul_then_add_bit_for_bit(self, rng, k, with_bias):
+        x, w, b = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in ((2, 63, k), (k, 7), (7,)))
+        b = b if with_bias else None
+        g = Tensor(rng.normal(size=(2, 63, 7)).astype(np.float32))
+
+        def oracle(x, w, b):  # one GEMM over the 126 rows, then the bias as an add node on [2, 63, 7]
+            y = T.rearrange(T.matmul(T.rearrange(x, (-1, k)), w), (2, 63, 7))
+            return y if b is None else T.add(y, b)
+
+        results = []
+        for f in (T.linear, oracle):
+            params = (x, w) if b is None else (x, w, b)
+            for p in params:
+                p.zero_grad()
+            out = f(x, w, b)
+            backward(T.sum_(T.mul(out, g)))
+            results.append([out.data] + [p.grad for p in params])
+        assert _n_recorded(T.linear(x, w, b)) == 1
+        for got, want in zip(*results):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+    def test_linear_gradients(self, rng, shape):
+        x, w, b = t64(rng, *shape), t64(rng, 4, 5), t64(rng, 5)
+        wt = Tensor(rng.normal(size=(*shape[:-1], 5)))
+        for t in (x, w, b):
+            assert grad_check(lambda _t: T.sum_(T.mul(T.linear(x, w, b), wt)), t) < 1e-8
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_silu_is_x_times_sigmoid_within_four_ulp(self, rng, dtype):
+        x = (rng.normal(size=4000) * 20).astype(dtype)
+        x[:10] = [0.0, -0.0, 1.0, -1.0, -90.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore"):  # -inf is NaN in both forms: -inf / inf and -inf * 0
+            got = T.silu(Tensor(x)).data
+            want = x * T.sigmoid(Tensor(x)).data
+        assert got.dtype == dtype and np.isnan(got[9])
+        # 4 ulp relative; absolutely below 1000 smallest normals where exp(-x)
+        # overflows (x below about -88 in float32), which gives -0.0
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(dtype).eps, atol=1000 * np.finfo(dtype).tiny)
+
+    def test_silu_gradient(self, rng):
+        assert grad_check(lambda t: T.sum_(T.mul(T.silu(t), t)), t64(rng, 40, lo=-40.0, hi=40.0)) < 1e-8
+
+
 def ref_attention(q, k, v, causal):
     """The score -> scale -> mask -> softmax -> @ v sequence that T.attention
     fuses, in numpy: the scale is cast to the operands' dtype first."""
