@@ -1,20 +1,22 @@
-"""Flat key=value run configuration.
+"""Flat key=value run configuration, and the one reader of text files.
 
 One file drives model construction and training. Lines are
 `key = value`; blank lines and `#` comments are ignored; unknown or
 duplicate keys, and in `read_config` invalid values, are rejected by name.
 Writing a config emits every key, so an echoed file reproduces the run
-exactly.
+exactly. `read_text` and `text_lines` read every text file tfse takes in:
+configs, corpus and evaluation manifests, state.json and loss.csv.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, make_dataclass
 from importlib import resources
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, TfseError
 
 BACKBONES = ("transformer", "conformer", "mamba", "bimamba", "xlstm", "c-bixlstm", "p-bixlstm")
 ATTENTION_BACKBONES = ("transformer", "conformer")
@@ -155,18 +157,38 @@ def _parse_value(key: str, raw: str, target_type):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {target_type.__name__}") from None
 
 
+def read_text(path: str, what: str, error: type[TfseError]) -> str:
+    """The UTF-8 text of the file at `path`. A file that cannot be read
+    raises `error` naming `what` and the path; bytes that are not UTF-8
+    raise FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: {what} is not UTF-8 text ({e})") from None
+
+
+def text_lines(text: str, source: str, error: type[TfseError]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped body) of each line that holds more than a `#`
+    comment. Lines end at \\n, \\r\\n or \\r, and are numbered as in the file.
+    A NUL byte outside a comment raises `error` naming `source:line`."""
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        body = line.split("#", 1)[0].strip()
+        if "\0" in body:
+            raise error(f"{source}:{lineno}: NUL byte in {body!r}")
+        if body:
+            yield lineno, body
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     keys = {f.name for f in fields(RunConfig)}
     defaults = RunConfig()
     seen: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in text_lines(text, source, ConfigError):
         if "=" not in body:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-        if "\0" in body:
-            raise ConfigError(f"{source}:{lineno}: NUL byte in {line.rstrip()!r}")
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {body!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
         if key not in keys:
@@ -178,14 +200,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def read_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: config is not UTF-8 text ({e})") from None
-    rc = parse_config_text(text, source=path)
+    rc = parse_config_text(read_text(path, "config", ConfigError), source=path)
     rc.model_config()  # each view validates its keys, so a bad value fails on read
     rc.train_config()
     return rc

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, training
-from .config import N_BINS, RunConfig
-from .errors import DataError, FormatError, LengthError, SampleRateError
+from .config import N_BINS, RunConfig, read_text, text_lines
+from .errors import DataError, LengthError, SampleRateError
 from .model import EnhancementModel, build_model, enhance, load_model
 
 ESTOI_SR = 10000
@@ -251,19 +251,9 @@ def read_eval_manifest(path: str) -> list[tuple[int, str, str, float]]:
     manifest directory. Each row is (line number, clean, noise, snr_db)."""
     base = os.path.dirname(os.path.abspath(path))
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise DataError(f"cannot read evaluation manifest {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: evaluation manifest is not UTF-8 text ({e})") from None
-    for lineno, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in text_lines(read_text(path, "evaluation manifest", DataError), path, DataError):
         parts = body.split()
-        if len(parts) != 3 or "\0" in body:
+        if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected '<clean> <noise> <snr_db>'")
         try:
             snr = float(parts[2])

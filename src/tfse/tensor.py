@@ -77,17 +77,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype != np.float32 and arr.dtype != np.float64:
-        arr = arr.astype(DEFAULT_DTYPE)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    return arr
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -112,8 +101,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_grad_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype != np.float32 and arr.dtype != np.float64:
+            arr = arr.astype(DEFAULT_DTYPE)
+        self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
@@ -168,22 +160,7 @@ class Tensor:
             self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
         self.grad[idx] += g
 
-    def backward(self) -> None:
-        backward(self)
-
-    # ---- operators -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
+    # ---- indexing --------------------------------------------------------
 
     def __getitem__(self, idx):
         return getitem(self, idx)

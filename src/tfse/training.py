@@ -21,7 +21,7 @@ import numpy as np
 from . import dsp
 from . import tensor as T
 from .archive import load_tensors, save_tensors
-from .config import RunConfig
+from .config import RunConfig, read_text, text_lines
 from .errors import ConfigError, DataError, FormatError, TrainingAborted
 from .model import EnhancementModel, build_model, load_model, save_model
 from .tensor import Tensor, backward
@@ -29,6 +29,10 @@ from .tensor import Tensor, backward
 OPTIM_ARCHIVE = "optim.tensors"
 STATE_FILE = "state.json"
 LOSS_CSV = "loss.csv"
+LOSS_HEADER = "step,epoch,lr,loss"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
 
 
 # ---- corpus -------------------------------------------------------------
@@ -46,19 +50,10 @@ def load_corpus(manifest_path: str) -> Corpus:
     base = os.path.dirname(os.path.abspath(manifest_path))
     speech: list[dsp.Waveform] = []
     noise: list[dsp.Waveform] = []
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise DataError(f"cannot read corpus manifest {manifest_path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{manifest_path}: corpus manifest is not UTF-8 text ({e})") from None
-    for lineno, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    text = read_text(manifest_path, "corpus manifest", DataError)
+    for lineno, body in text_lines(text, manifest_path, DataError):
         parts = body.split(None, 1)
-        if len(parts) != 2 or parts[0] not in ("s", "n") or "\0" in parts[1]:
+        if len(parts) != 2 or parts[0] not in ("s", "n"):
             raise DataError(f"{manifest_path}:{lineno}: expected 's <path>' or 'n <path>'")
         try:
             wave = dsp.read_wav(os.path.join(base, parts[1]))
@@ -151,20 +146,14 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    named_params,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.98,
-    eps: float = 1e-9,
-) -> None:
+def adam_step(named_params, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update over (name, param) pairs.
 
     The update is m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2,
     p -= lr (m / bc1) / (sqrt(v / bc2) + eps), computed op for op in that
     order through two scratch buffers instead of a temporary per op.
     """
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
@@ -234,9 +223,8 @@ def _read_state(path: str) -> dict:
     """state.json, checked: a JSON object with non-negative integer
     epochs_done, global_step and adam_t, and an rng entry."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        state = json.loads(read_text(path, "checkpoint state", FormatError))
+    except ValueError as e:  # JSONDecodeError
         raise FormatError(f"{path}: not a JSON checkpoint state ({e})") from None
     if not isinstance(state, dict):
         raise FormatError(f"{path}: expected a JSON object, got a {type(state).__name__}")
@@ -248,13 +236,13 @@ def _read_state(path: str) -> dict:
     return state
 
 
-def load_checkpoint(ckpt_dir: str, dtype=np.float32):
+def load_checkpoint(ckpt_dir: str):
     """Returns (model, run_cfg, AdamState, rng, epochs_done, global_step).
 
     Raises FormatError, naming the file and the entry, on a malformed
     optimizer archive or state.json.
     """
-    model, run_cfg = load_model(ckpt_dir, dtype)
+    model, run_cfg = load_model(ckpt_dir)
     opt = AdamState()
     opt_path = os.path.join(ckpt_dir, OPTIM_ARCHIVE)
     if os.path.exists(opt_path):
@@ -262,7 +250,7 @@ def load_checkpoint(ckpt_dir: str, dtype=np.float32):
             kind, _, name = key.partition(".")
             if kind not in ("m", "v") or not name:
                 raise FormatError(f"{opt_path}: {key!r} is not an m.<param> or v.<param> moment")
-            (opt.m if kind == "m" else opt.v)[name] = arr.astype(dtype, copy=False)
+            (opt.m if kind == "m" else opt.v)[name] = arr.astype(model.dtype, copy=False)
     state_path = os.path.join(ckpt_dir, STATE_FILE)
     state = _read_state(state_path)
     opt.t = state["adam_t"]
@@ -273,6 +261,21 @@ def load_checkpoint(ckpt_dir: str, dtype=np.float32):
         raise FormatError(f"{state_path}: 'rng' is not a PCG64 generator state ({type(e).__name__}: {e})") from None
     rng = np.random.Generator(bitgen)
     return model, run_cfg, opt, rng, state["epochs_done"], state["global_step"]
+
+
+def _logged_rows(csv_path: str, global_step: int) -> list[str]:
+    """loss.csv's rows for steps up to `global_step`, the step a resumed
+    run's checkpoint reached; the rows a run logged after it are dropped."""
+    rows = []
+    for lineno, body in text_lines(read_text(csv_path, "loss log", FormatError), csv_path, FormatError):
+        if lineno == 1 and body == LOSS_HEADER:
+            continue
+        step = body.split(",", 1)[0]
+        if body.count(",") != 3 or not step.isdecimal():
+            raise FormatError(f"{csv_path}:{lineno}: expected a '{LOSS_HEADER}' row, got {body!r}")
+        if int(step) <= global_step:
+            rows.append(body)
+    return rows
 
 
 def latest_checkpoint(out_dir: str) -> str:
@@ -338,13 +341,13 @@ def train(
     run_cfg: RunConfig,
     out_dir: str,
     resume_from: str | None = None,
-    dtype=np.float32,
     progress=None,
 ) -> TrainResult:
     """Run (or continue) a training job into out_dir.
 
     Writes loss.csv (step,epoch,lr,loss with full-precision floats) and a
-    checkpoint directory per checkpoint_every epochs. Raises TrainingAborted
+    checkpoint directory per checkpoint_every epochs. A resumed run first
+    cuts loss.csv back to the checkpoint's step. Raises TrainingAborted
     with diagnostics the moment the loss stops being finite.
     """
     model_cfg = run_cfg.model_config()
@@ -356,16 +359,16 @@ def train(
     csv_path = os.path.join(out_dir, LOSS_CSV)
 
     if resume_from is not None:
-        model, saved_cfg, opt, rng, epochs_done, global_step = load_checkpoint(resume_from, dtype)
+        model, saved_cfg, opt, rng, epochs_done, global_step = load_checkpoint(resume_from)
         if saved_cfg.model_config() != model_cfg:
             raise ConfigError("resume: checkpoint was trained with a different model config")
-        csv_mode = "a" if os.path.exists(csv_path) else "w"
+        rows = _logged_rows(csv_path, global_step) if os.path.exists(csv_path) else []
     else:
-        model = build_model(model_cfg, seed=train_cfg.seed, dtype=dtype)
+        model = build_model(model_cfg, seed=train_cfg.seed)
         opt = AdamState()
         rng = np.random.default_rng(train_cfg.seed)
         epochs_done, global_step = 0, 0
-        csv_mode = "w"
+        rows = []
 
     last_loss = float("nan")
     last_grad_max = 0.0
@@ -373,9 +376,8 @@ def train(
     # a fresh run always saves; a resumed one with no epochs left keeps its own
     ckpt_dir = resume_from or ""
 
-    with open(csv_path, csv_mode, encoding="utf-8") as csv:
-        if csv_mode == "w":
-            csv.write("step,epoch,lr,loss\n")
+    with open(csv_path, "w", encoding="utf-8") as csv:
+        csv.write("".join(f"{row}\n" for row in [LOSS_HEADER, *rows]))
         for epoch in range(epochs_done, train_cfg.epochs):
             for batch in epoch_batches(
                 corpus, train_cfg.batch_size, train_cfg.snr_lo, train_cfg.snr_hi, rng

@@ -1,6 +1,7 @@
 """Config parsing, validation, and the shipped preset collection."""
 
 import dataclasses
+import re
 from dataclasses import fields
 
 import pytest
@@ -19,7 +20,9 @@ from tfse.config import (
     shipped_config_names,
     write_config,
 )
-from tfse.errors import ConfigError, FormatError, TfseError
+from tfse.errors import ConfigError, DataError, FormatError, TfseError
+from tfse.evalbench import read_eval_manifest
+from tfse.training import load_corpus
 
 
 class TestParsing:
@@ -239,3 +242,49 @@ class TestMalformedText:
             parse_config_text("\n".join(lines))
         except TfseError:
             pass
+
+
+# every text file tfse reads goes through config.read_text and config.text_lines
+TEXT_READERS = {
+    "config": (read_config, ConfigError),
+    "corpus-manifest": (load_corpus, DataError),
+    "eval-manifest": (read_eval_manifest, DataError),
+}
+
+# bytes that every reader rejects first at the given physical line
+FIRST_BAD_LINE = {
+    "nul-in-a-comment": (b"# a NUL \0 inside a comment\nbad line\n", 2),
+    "crlf": (b"# comment\r\n\r\nbad line\r\n", 3),
+    "blank-and-comment-lines": (b"\n   \n# comment\n  # indented comment\n\t\nbad line\n", 6),
+}
+
+
+@pytest.mark.parametrize("reader, error", TEXT_READERS.values(), ids=TEXT_READERS.keys())
+class TestOneTextReader:
+    def test_missing_file_is_the_readers_error_naming_the_path(self, tmp_path, reader, error):
+        path = str(tmp_path / "missing.txt")
+        with pytest.raises(error, match=f"cannot read .*{re.escape(path)}"):
+            reader(path)
+
+    def test_invalid_utf8_is_a_format_error(self, tmp_path, reader, error):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"# caf\xe9\nbad line\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*UTF-8"):
+            reader(str(path))
+
+    def test_nul_outside_a_comment_names_the_line(self, tmp_path, reader, error):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"# fine\nx\0y = 1 2\n")
+        with pytest.raises(TfseError, match=f"{re.escape(str(path))}:2: NUL"):
+            reader(str(path))
+
+    @pytest.mark.parametrize("data, line", FIRST_BAD_LINE.values(), ids=FIRST_BAD_LINE.keys())
+    def test_comments_blank_lines_and_line_ends(self, tmp_path, reader, error, data, line):
+        path = tmp_path / "in.txt"
+        messages = []
+        for variant in (data, data.replace(b"\r\n", b"\n")):
+            path.write_bytes(variant)
+            with pytest.raises(error, match=f"{re.escape(str(path))}:{line}: expected") as exc:
+                reader(str(path))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]

@@ -28,9 +28,6 @@ class TestTensorBasics:
     def test_non_float_inputs_coerce_to_float32(self):
         assert Tensor([1, 2, 3]).dtype == np.float32
 
-    def test_explicit_dtype(self):
-        assert Tensor([1.0], dtype=np.float64).dtype == np.float64
-
     def test_scalar_tensor_stays_zero_dim(self):
         t = Tensor(3.5)
         assert t.shape == ()
@@ -42,14 +39,6 @@ class TestTensorBasics:
 
     def test_leaves_start_without_grad(self):
         assert Tensor([1.0], requires_grad=True).grad is None
-
-    def test_operator_sugar_matches_functions(self, rng):
-        a = t64(rng, 3, 4)
-        b = t64(rng, 3, 4)
-        assert np.array_equal((a + b).data, T.add(a, b).data)
-        assert np.array_equal((a * b).data, T.mul(a, b).data)
-        assert np.array_equal((a - b).data, T.sub(a, b).data)
-        assert np.array_equal((-a).data, T.neg(a).data)
 
 
 class TestGraphMechanics:
@@ -589,7 +578,7 @@ class TestForwardSemantics:
     def test_conv1d_matches_manual_correlation(self, rng):
         x = rng.normal(size=(6, 2))
         k = rng.normal(size=(3, 2))
-        y = T.depthwise_conv1d(Tensor(x, dtype=F64), Tensor(k, dtype=F64), causal=True).data
+        y = T.depthwise_conv1d(Tensor(x), Tensor(k), causal=True).data
         xp = np.concatenate([np.zeros((2, 2)), x])
         want = np.array([sum(xp[t + j] * k[j] for j in range(3)) for t in range(6)])
         np.testing.assert_allclose(y, want, atol=1e-12)

@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package and its tests is used,
-`import tfse` leaves the training and evaluation modules unloaded, and every
-module is called with one input."""
+`import tfse` leaves the training and evaluation modules unloaded, text files
+are read only through `config.read_text`, and every module is called with one
+input."""
 
 import ast
 import importlib
@@ -98,6 +99,47 @@ def test_import_tfse_loads_training_and_evalbench_only_on_first_use():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "[] True True"], out.stderr
+
+
+def text_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each `open` call that can read text:
+    a mode without "b" that has "r" or "+" (a left-out mode is "r", and a
+    mode that is not a literal counts)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+                given = [*child.args[1:2], *(k.value for k in child.keywords if k.arg == "mode")]
+                mode = given[0] if given else ast.Constant("r")
+                mode = mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else "r"
+                if "b" not in mode and ("r" in mode or "+" in mode):
+                    found.append((scope, child.lineno))
+            visit(child, child.name if isinstance(child, FUNCTIONS) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_text_is_read_only_by_config_read_text():
+    package = sorted((ROOT / "src" / "tfse").glob("*.py"))
+    found = [(p.name, scope) for p in package for scope, _ in text_reads(p.read_text(encoding="utf-8"))]
+    assert found == [("config.py", "read_text")]
+
+
+def test_the_text_read_scan_flags_text_modes_only():
+    source = (
+        "def f(path, mode):\n"
+        "    open(path)\n"
+        "    open(path, 'rb')\n"
+        "    open(path, 'w', encoding='utf-8')\n"
+        "    open(path, mode='a+')\n"
+        "    open(path, mode)\n"
+        "    def g():\n"
+        "        return open(path, 'r', encoding='utf-8')\n"
+        "    return open(path, 'wb'), g\n"
+    )
+    assert text_reads(source) == [("f", 2), ("f", 5), ("f", 6), ("g", 8)]
 
 
 def module_classes() -> list[type]:

@@ -15,6 +15,9 @@ from tfse.config import RunConfig
 from tfse.errors import ConfigError, DataError, FormatError, TfseError, TrainingAborted
 from tfse.tensor import Tensor, backward
 from tfse.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     adam_step,
     clip_gradients,
@@ -105,7 +108,7 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_update_is_the_textbook_formula_bit_for_bit(self, rng, dtype):
-        beta1, beta2, eps = 0.9, 0.98, 1e-9
+        beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         shapes = {"w": (7, 5), "b": (5,)}
         params = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for k, s in shapes.items()}
         want = {k: p.data.copy() for k, p in params.items()}
@@ -120,7 +123,7 @@ class TestOptimizer:
                 m[k] = beta1 * m[k] + (1.0 - beta1) * g
                 v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
                 want[k] = want[k] - lr * (m[k] / (1.0 - beta1**t)) / (np.sqrt(v[k] / (1.0 - beta2**t)) + eps)
-            adam_step(list(params.items()), state, lr, beta1, beta2, eps)
+            adam_step(list(params.items()), state, lr)
             for k, p in params.items():
                 assert p.data.dtype == dtype
                 np.testing.assert_array_equal(p.data, want[k])
@@ -269,6 +272,31 @@ class TestTrainLoop:
         b = load_tensors(os.path.join(straight.checkpoint_dir, "model.tensors"))
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    def test_resume_after_a_crash_matches_uninterrupted_run(self, corpus_manifest, tmp_path):
+        # 6 clips in batches of 2 is 3 steps an epoch: ckpt-0001 holds step 3, and
+        # the crash at step 5 leaves rows 4 and 5 in loss.csv for the resume to cut
+        cfg = toy_config(corpus_manifest, epochs=3, batch_size=2)
+        out, straight = tmp_path / "run", tmp_path / "straight"
+
+        def crash_at_step_5(step, *_):
+            if step == 5:
+                raise RuntimeError("killed at step 5")
+
+        with pytest.raises(RuntimeError, match="killed"):
+            train(cfg, str(out), progress=crash_at_step_5)
+        assert latest_checkpoint(str(out)) == str(out / "ckpt-0001")
+        train(cfg, str(out), resume_from=latest_checkpoint(str(out)))
+        train(cfg, str(straight))
+        for name in ("loss.csv", "ckpt-0003/model.tensors", "ckpt-0003/optim.tensors"):
+            assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_rejects_a_malformed_loss_row(self, corpus_manifest, tmp_path):
+        first = train(toy_config(corpus_manifest, epochs=1), str(tmp_path / "run"))
+        with open(first.csv_path, "a", encoding="utf-8") as fh:
+            fh.write("2,0,oops\n")
+        with pytest.raises(FormatError, match=r"loss.csv:3: expected"):
+            train(toy_config(corpus_manifest, epochs=2), str(tmp_path / "run"), resume_from=first.checkpoint_dir)
+
     def test_resume_rejects_model_config_change(self, corpus_manifest, tmp_path):
         first = train(toy_config(corpus_manifest, epochs=1), str(tmp_path / "run"))
         changed = toy_config(corpus_manifest, epochs=2, d_model=64, d_state=4)
@@ -363,6 +391,11 @@ class TestMalformedCheckpointState:
     def test_intact_state_loads(self, small_checkpoint):
         *_, epochs_done, global_step = load_checkpoint(small_checkpoint)
         assert (epochs_done, global_step) == (1, 3)
+
+    def test_missing_state_file(self, small_checkpoint):
+        os.remove(os.path.join(small_checkpoint, "state.json"))
+        with pytest.raises(FormatError, match="cannot read checkpoint state .*state.json"):
+            load_checkpoint(small_checkpoint)
 
     def test_truncated_json(self, small_checkpoint):
         text = open(os.path.join(small_checkpoint, "state.json")).read()
