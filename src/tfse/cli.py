@@ -495,10 +495,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except TfseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TfseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

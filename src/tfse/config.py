@@ -25,7 +25,6 @@ NONCAUSAL_ONLY = ("bimamba", "c-bixlstm", "p-bixlstm")
 PE_KINDS = ("none", "sin", "rope")
 LOSS_KINDS = ("mask-mse", "masked-magnitude-mse")
 
-N_BINS = 257  # one-sided bins of the 512-point analysis
 QKV_BLOCK_SIZE = 4  # xLSTM q/k/v projections are block-diagonal in blocks of this many features
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, training
-from .config import N_BINS, RunConfig, read_text, text_lines
+from .config import RunConfig, read_text, text_lines
+from .dsp import N_BINS
 from .errors import DataError, LengthError, SampleRateError
 from .model import EnhancementModel, build_model, enhance, load_model
 

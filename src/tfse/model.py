@@ -20,7 +20,8 @@ from . import pe as PE
 from . import tensor as T
 from .archive import load_tensors, save_tensors
 from .attention import ConformerBlock, TransformerBlock
-from .config import N_BINS, ModelConfig, RunConfig, read_config, write_config
+from .config import ModelConfig, RunConfig, read_config, write_config
+from .dsp import N_BINS
 from .errors import DimensionError
 from .module import Bidirectional, LayerNorm, Linear, Module, Residual
 from .ssm import MambaCore

@@ -5,13 +5,15 @@ order, noise pairing, SNR draws, and noise offsets all come from generators
 seeded with it, so two runs with the same config produce bit-identical loss
 logs, and two different backbones trained with the same seed consume
 identical batch sequences. Checkpoints capture model weights, optimizer
-moments, and the data generator state, so resuming at an epoch boundary
-continues the exact run.
+moments, the step and the data generator state, so resuming from any
+checkpoint continues the exact run.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -190,7 +192,7 @@ def save_checkpoint(
     model: EnhancementModel,
     run_cfg: RunConfig,
     opt: AdamState,
-    rng: np.random.Generator,
+    rng_state: dict,
     epochs_done: int,
     global_step: int,
 ) -> None:
@@ -209,8 +211,7 @@ def save_checkpoint(
     state = {
         "epochs_done": epochs_done,
         "global_step": global_step,
-        "adam_t": opt.t,
-        "rng": rng.bit_generator.state,
+        "rng": rng_state,
     }
     with open(os.path.join(tmp, STATE_FILE), "w", encoding="utf-8") as fh:
         json.dump(state, fh, default=int, indent=1)
@@ -221,14 +222,14 @@ def save_checkpoint(
 
 def _read_state(path: str) -> dict:
     """state.json, checked: a JSON object with non-negative integer
-    epochs_done, global_step and adam_t, and an rng entry."""
+    epochs_done and global_step, and an rng entry."""
     try:
         state = json.loads(read_text(path, "checkpoint state", FormatError))
     except ValueError as e:  # JSONDecodeError
         raise FormatError(f"{path}: not a JSON checkpoint state ({e})") from None
     if not isinstance(state, dict):
         raise FormatError(f"{path}: expected a JSON object, got a {type(state).__name__}")
-    for key in ("epochs_done", "global_step", "adam_t", "rng"):
+    for key in ("epochs_done", "global_step", "rng"):
         if key not in state:
             raise FormatError(f"{path}: missing key {key!r}")
         if key != "rng" and (type(state[key]) is not int or state[key] < 0):
@@ -253,7 +254,7 @@ def load_checkpoint(ckpt_dir: str):
             (opt.m if kind == "m" else opt.v)[name] = arr.astype(model.dtype, copy=False)
     state_path = os.path.join(ckpt_dir, STATE_FILE)
     state = _read_state(state_path)
-    opt.t = state["adam_t"]
+    opt.t = state["global_step"]  # one Adam step per logged step
     bitgen = np.random.PCG64()
     try:
         bitgen.state = state["rng"]
@@ -265,9 +266,10 @@ def load_checkpoint(ckpt_dir: str):
 
 def _logged_rows(csv_path: str, global_step: int) -> list[str]:
     """loss.csv's rows for steps up to `global_step`, the step a resumed
-    run's checkpoint reached; the rows a run logged after it are dropped."""
+    run's checkpoint reached; a last row that a kill cut short is dropped."""
+    text = read_text(csv_path, "loss log", FormatError)
     rows = []
-    for lineno, body in text_lines(read_text(csv_path, "loss log", FormatError), csv_path, FormatError):
+    for lineno, body in text_lines(text[:text.rfind("\n") + 1], csv_path, FormatError):
         if lineno == 1 and body == LOSS_HEADER:
             continue
         step = body.split(",", 1)[0]
@@ -346,9 +348,9 @@ def train(
     """Run (or continue) a training job into out_dir.
 
     Writes loss.csv (step,epoch,lr,loss with full-precision floats) and a
-    checkpoint directory per checkpoint_every epochs. A resumed run first
-    cuts loss.csv back to the checkpoint's step. Raises TrainingAborted
-    with diagnostics the moment the loss stops being finite.
+    checkpoint every checkpoint_every epochs and at the last step. A resume
+    redraws its epoch's done batches and cuts loss.csv back to its step.
+    Raises TrainingAborted with diagnostics once the loss is not finite.
     """
     model_cfg = run_cfg.model_config()
     train_cfg = run_cfg.train_config()
@@ -359,7 +361,7 @@ def train(
     csv_path = os.path.join(out_dir, LOSS_CSV)
 
     if resume_from is not None:
-        model, saved_cfg, opt, rng, epochs_done, global_step = load_checkpoint(resume_from)
+        model, saved_cfg, opt, rng, _, global_step = load_checkpoint(resume_from)
         if saved_cfg.model_config() != model_cfg:
             raise ConfigError("resume: checkpoint was trained with a different model config")
         rows = _logged_rows(csv_path, global_step) if os.path.exists(csv_path) else []
@@ -367,21 +369,23 @@ def train(
         model = build_model(model_cfg, seed=train_cfg.seed)
         opt = AdamState()
         rng = np.random.default_rng(train_cfg.seed)
-        epochs_done, global_step = 0, 0
+        global_step = 0
         rows = []
 
+    steps_per_epoch = math.ceil(len(corpus.speech) / train_cfg.batch_size)  # the batches epoch_batches yields
+    end = min(train_cfg.epochs * steps_per_epoch, train_cfg.max_steps or math.inf)
     last_loss = float("nan")
     last_grad_max = 0.0
-    stop = False
-    # a fresh run always saves; a resumed one with no epochs left keeps its own
+    # a fresh run always saves; a resumed one with no steps left keeps its own
     ckpt_dir = resume_from or ""
 
     with open(csv_path, "w", encoding="utf-8") as csv:
         csv.write("".join(f"{row}\n" for row in [LOSS_HEADER, *rows]))
-        for epoch in range(epochs_done, train_cfg.epochs):
-            for batch in epoch_batches(
-                corpus, train_cfg.batch_size, train_cfg.snr_lo, train_cfg.snr_hi, rng
-            ):
+        while global_step < end:
+            epoch, done = divmod(global_step, steps_per_epoch)
+            epoch_start = rng.bit_generator.state
+            batches = epoch_batches(corpus, train_cfg.batch_size, train_cfg.snr_lo, train_cfg.snr_hi, rng)
+            for batch in itertools.islice(batches, done, min(steps_per_epoch, end - epoch * steps_per_epoch)):
                 global_step += 1
                 lr = lr_at(global_step, train_cfg.step_w, model_cfg.d_model)
                 try:
@@ -394,14 +398,11 @@ def train(
                 csv.write(f"{global_step},{epoch},{lr!r},{last_loss!r}\n")
                 if progress is not None:
                     progress(global_step, epoch, lr, last_loss)
-                if train_cfg.max_steps and global_step >= train_cfg.max_steps:
-                    stop = True
-                    break
-            epochs_done = epoch + 1
-            if stop or epochs_done % train_cfg.checkpoint_every == 0 or epochs_done == train_cfg.epochs:
-                ckpt_dir = os.path.join(out_dir, f"ckpt-{epochs_done:04d}")
-                save_checkpoint(ckpt_dir, model, run_cfg, opt, rng, epochs_done, global_step)
-            if stop:
-                break
+            epoch_end = global_step % steps_per_epoch == 0
+            if global_step == end or (epoch_end and (epoch + 1) % train_cfg.checkpoint_every == 0):
+                ckpt_dir = os.path.join(out_dir, f"ckpt-{epoch + 1:04d}")
+                csv.flush()  # the rows this checkpoint covers must survive a kill
+                rng_state = rng.bit_generator.state if epoch_end else epoch_start
+                save_checkpoint(ckpt_dir, model, run_cfg, opt, rng_state, epoch + 1, global_step)
 
-    return TrainResult(ckpt_dir, csv_path, epochs_done, global_step, last_loss)
+    return TrainResult(ckpt_dir, csv_path, math.ceil(global_step / steps_per_epoch), global_step, last_loss)

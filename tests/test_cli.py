@@ -193,6 +193,46 @@ class TestBench:
         assert "lock" in capsys.readouterr().err
 
 
+def _fake_rtf(monkeypatch, rtf_by_length):
+    """Make `tfse bench` report the given rtf per clip length instead of
+    timing anything, so a trend verdict does not hang on this host's load."""
+    from tfse import evalbench
+
+    def measure_rtf(model, length_s, batch, runs, warmup):
+        return evalbench.RTFResult(length_s, rtf_by_length[length_s], 0.0, runs, batch)
+
+    monkeypatch.setattr(evalbench, "measure_rtf", measure_rtf)
+
+
+class TestBenchTrends:
+    @pytest.mark.parametrize(
+        "backbone, rtfs, verdict, code",
+        [
+            ("transformer", (0.01, 0.02), "PASS attention cost grows with length (rtf 0.01 -> 0.02)", 0),
+            ("transformer", (0.02, 0.02), "FAIL attention cost grows with length (rtf 0.02 -> 0.02)", 1),
+            ("mamba", (0.01, 0.024), "PASS recurrent cost stays near-flat (rtf 0.01 -> 0.024)", 0),
+            ("mamba", (0.01, 0.026), "FAIL recurrent cost stays near-flat (rtf 0.01 -> 0.026)", 1),
+        ],
+    )
+    def test_verdict(self, backbone, rtfs, verdict, code, tmp_path, monkeypatch, capsys):
+        _fake_rtf(monkeypatch, dict(zip((0.5, 1.0), rtfs)))
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"backbone = {backbone}\nblocks = 1\nd_model = 16\nd_ff = 32\nheads = 2\nd_state = 4\n")
+        assert cli.main(["bench", "--config", str(cfg), "--lengths", "1,0.5", "--assert-trends"]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == verdict
+
+    def test_one_length_is_a_config_error(self, toy_cfg_path, monkeypatch, capsys):
+        _fake_rtf(monkeypatch, {0.5: 0.01})
+        assert cli.main(["bench", "--config", toy_cfg_path, "--lengths", "0.5", "--assert-trends"]) == 2
+        assert "needs at least two lengths" in capsys.readouterr().err
+
+    def test_checkpoint_row_names_its_model(self, trained_out, toy_cfg_path, monkeypatch, capsys):
+        _fake_rtf(monkeypatch, {0.5: 0.01})
+        assert cli.main(["bench", "--checkpoint", latest_ckpt(trained_out), "--lengths", "0.5", "--runs", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows == [BENCH_HEADER, f"mamba-1,{_params(toy_cfg_path)},true,0.5,4,2,0.01,0.0,"]
+
+
 class TestScore:
     def test_csv_to_stdout_and_file(self, trained_out, corpus_manifest, tmp_path, capsys):
         base = os.path.dirname(corpus_manifest)

@@ -3,12 +3,16 @@ determinism, loss logging, resume equivalence, and failure diagnostics."""
 
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tfse
 from tfse import tensor as T
 from tfse import training
 from tfse.config import RunConfig
@@ -254,9 +258,9 @@ class TestTrainLoop:
     def test_state_file_contents(self, corpus_manifest, tmp_path):
         result = train(toy_config(corpus_manifest, epochs=1), str(tmp_path / "run"))
         state = json.load(open(os.path.join(result.checkpoint_dir, "state.json")))
+        assert sorted(state) == ["epochs_done", "global_step", "rng"]
         assert state["epochs_done"] == 1
         assert state["global_step"] == result.global_step
-        assert state["adam_t"] == result.global_step
         assert state["rng"]["bit_generator"] == "PCG64"
 
     def test_resume_matches_uninterrupted_run(self, corpus_manifest, tmp_path):
@@ -289,6 +293,58 @@ class TestTrainLoop:
         train(cfg, str(straight))
         for name in ("loss.csv", "ckpt-0003/model.tensors", "ckpt-0003/optim.tensors"):
             assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_resume_after_a_max_steps_stop_matches_uninterrupted_run(self, corpus_manifest, tmp_path, k):
+        # 3 steps an epoch: k = 1, 2, 4 and 5 stop in mid-epoch
+        cfg = toy_config(corpus_manifest, epochs=2, batch_size=2)
+        out, straight = tmp_path / "run", tmp_path / "straight"
+        stopped = train(toy_config(corpus_manifest, epochs=2, batch_size=2, max_steps=k), str(out))
+        assert (stopped.global_step, stopped.epochs_done) == (k, (k + 2) // 3)
+        train(cfg, str(out), resume_from=latest_checkpoint(str(out)))
+        train(cfg, str(straight))
+        for name in ("loss.csv", "ckpt-0002/model.tensors", "ckpt-0002/optim.tensors"):
+            assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_after_a_kill_matches_uninterrupted_run(self, corpus_manifest, tmp_path):
+        # SIGKILL runs no flush and no close: loss.csv holds only what was
+        # flushed before ckpt-0001 (step 3) was saved
+        cfg = dict(TOY, corpus=corpus_manifest, epochs=3, batch_size=2)
+        out, straight = tmp_path / "run", tmp_path / "straight"
+        child = (
+            "import os, signal\n"
+            "from tfse.config import RunConfig\n"
+            "from tfse.training import train\n"
+            "def kill_at_step_5(step, *_):\n"
+            "    if step == 5:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            f"train(RunConfig(**{cfg!r}), {str(out)!r}, progress=kill_at_step_5)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tfse.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        killed = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, timeout=300)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr.decode()
+        assert latest_checkpoint(str(out)) == str(out / "ckpt-0001")
+        train(RunConfig(**cfg), str(out), resume_from=latest_checkpoint(str(out)))
+        train(RunConfig(**cfg), str(straight))
+        for name in ("loss.csv", "ckpt-0003/model.tensors", "ckpt-0003/optim.tensors"):
+            assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+    def test_resume_drops_a_loss_row_cut_short(self, corpus_manifest, tmp_path):
+        cfg = toy_config(corpus_manifest, epochs=3, batch_size=2)
+        out, straight = tmp_path / "run", tmp_path / "straight"
+
+        def crash_at_step_5(step, *_):
+            if step == 5:
+                raise RuntimeError("killed at step 5")
+
+        with pytest.raises(RuntimeError, match="killed"):
+            train(cfg, str(out), progress=crash_at_step_5)
+        text = (out / "loss.csv").read_text()  # a kill can cut the last row at any byte
+        (out / "loss.csv").write_text(text[: text.index("\n5,1,") + len("\n5,1,")])
+        train(cfg, str(out), resume_from=latest_checkpoint(str(out)))
+        train(cfg, str(straight))
+        assert (out / "loss.csv").read_bytes() == (straight / "loss.csv").read_bytes()
 
     def test_resume_rejects_a_malformed_loss_row(self, corpus_manifest, tmp_path):
         first = train(toy_config(corpus_manifest, epochs=1), str(tmp_path / "run"))
@@ -374,7 +430,8 @@ def small_checkpoint(tmp_path):
 
     rc = toy_config("", epochs=1)
     ckpt = str(tmp_path / "ckpt-0001")
-    save_checkpoint(ckpt, build_model(rc.model_config(), seed=0), rc, AdamState(), np.random.default_rng(0), 1, 3)
+    rng_state = np.random.default_rng(0).bit_generator.state
+    save_checkpoint(ckpt, build_model(rc.model_config(), seed=0), rc, AdamState(), rng_state, 1, 3)
     return ckpt
 
 
@@ -410,10 +467,16 @@ class TestMalformedCheckpointState:
 
     def test_missing_key(self, small_checkpoint):
         state = self._state(small_checkpoint)
-        del state["adam_t"]
+        del state["global_step"]
         self._write_state(small_checkpoint, json.dumps(state))
-        with pytest.raises(FormatError, match="state.json.*adam_t"):
+        with pytest.raises(FormatError, match="state.json.*global_step"):
             load_checkpoint(small_checkpoint)
+
+    def test_state_with_an_adam_t_key_loads(self, small_checkpoint):
+        # state.json once also held the Adam step count, which equals global_step
+        self._write_state(small_checkpoint, json.dumps({**self._state(small_checkpoint), "adam_t": 3}))
+        _, _, opt, _, epochs_done, global_step = load_checkpoint(small_checkpoint)
+        assert (opt.t, epochs_done, global_step) == (3, 1, 3)
 
     def test_non_integer_field(self, small_checkpoint):
         state = self._state(small_checkpoint)
@@ -439,7 +502,7 @@ class TestMalformedCheckpointState:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         edits=st.dictionaries(
-            st.sampled_from(["epochs_done", "global_step", "adam_t", "rng", "other"]),
+            st.sampled_from(["epochs_done", "global_step", "rng", "other"]),
             st.recursive(
                 st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
                 lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
