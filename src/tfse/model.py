@@ -22,7 +22,7 @@ from .archive import load_tensors, save_tensors
 from .attention import ConformerBlock, TransformerBlock
 from .config import ModelConfig, RunConfig, read_config, write_config
 from .dsp import N_BINS
-from .errors import DimensionError
+from .errors import DegenerateInputError, DimensionError, NumericError
 from .module import Bidirectional, LayerNorm, Linear, Module, Residual
 from .ssm import MambaCore
 from .tensor import Tensor
@@ -71,12 +71,18 @@ class EnhancementModel(Module):
             raise DimensionError(
                 f"model input must be [frames, {N_BINS}] or [batch, frames, {N_BINS}], got {x.shape}"
             )
-        h = self.input_proj(T.relu(self.input_norm(x)))
+        h = self._finite("input_proj", self.input_proj(T.relu(self.input_norm(x))))
         if self.cfg.pe == "sin":
             h = PE.add_sinusoidal(h)
-        for blk in self.blocks:
-            h = blk(h)
+        for i, blk in enumerate(self.blocks):
+            h = self._finite(f"blocks.{i}", blk(h))
         return T.sigmoid(self.output_proj(h))
+
+    def _finite(self, path: str, h: Tensor) -> Tensor:
+        """h, once every value is finite; the one non-finite check of a forward."""
+        if not (np.isfinite(h.data.min()) and np.isfinite(h.data.max())):  # NaN and inf reach them; no temporary
+            raise NumericError(f"{self.cfg.backbone} {path}: non-finite output")
+        return h
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> EnhancementModel:
@@ -96,9 +102,15 @@ def param_count_str(n: int) -> str:
 
 def enhance(model: EnhancementModel, noisy: dsp.Waveform) -> dsp.Waveform:
     """Run the full pipeline: analyze, mask, resynthesize at input length.
-    The STFT runs again for the mask, so no spectrum is held through the forward."""
+    The STFT runs again for the mask, so no spectrum is held through the forward.
+    A frame too loud for the model's dtype raises DegenerateInputError."""
+    mag = dsp.stft(noisy).magnitude
+    if mag.sum(axis=-1).max() > np.finfo(model.dtype).max:  # the input norm's mean would overflow
+        raise DegenerateInputError(f"input level out of range: a frame's magnitudes sum past {model.dtype}")
+    mag = mag.astype(model.dtype)  # rebound: the float64 spectrum is not held through the forward
     with T.no_grad():
-        mask = model(dsp.stft(noisy).magnitude.astype(model.dtype))
+        mask = model(mag)
+    del mag
     masked = dsp.apply_mask(dsp.stft(noisy), dsp.Mask(mask.data.astype(np.float64)))
     return dsp.istft(masked, len(noisy))
 

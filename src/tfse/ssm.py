@@ -33,24 +33,16 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError
 from .module import DepthwiseConv1d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
 SEG = 16  # frames per segment whose entering state the fused scan keeps for its backward; from t = 0
 
 
-def _check_finite(name: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if not np.all(np.isfinite(t.data)):
-            raise NumericError(f"{name}: non-finite values in scan inputs")
-
-
 def selective_scan_seq(u, delta, A, B, C, D) -> Tensor:
     """Step-by-step reference engine. Shapes: u, delta [..., L, d_inner];
     A [d_inner, d_state]; B, C [..., L, d_state]; D [d_inner]. Leading
     axes are batch axes."""
-    _check_finite("selective_scan_seq", u, delta, A, B, C, D)
     *lead, L, d_inner = u.shape
     d_state = A.shape[1]
     dA = T.exp(T.mul(T.rearrange(delta, (*lead, L, d_inner, 1)), A))
@@ -76,7 +68,6 @@ def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
     Same contract (leading batch axes included) and result as the
     sequential one up to floating-point summation order."""
     inputs = (u, delta, A, B, C, D)
-    _check_finite("selective_scan_par", *inputs)
     # Time-major inside, [L, N, ...] over the N folded clips, so every
     # per-frame slice below is one basic index into a contiguous block. The
     # state is held as [N, d_state, d_inner], so every per-step op runs

@@ -24,7 +24,7 @@ from . import dsp
 from . import tensor as T
 from .archive import load_tensors, save_tensors
 from .config import RunConfig, read_text, text_lines
-from .errors import ConfigError, DataError, FormatError, TrainingAborted
+from .errors import ConfigError, DataError, FormatError, NumericError, TrainingAborted
 from .model import EnhancementModel, build_model, load_model, save_model
 from .tensor import Tensor, backward
 
@@ -302,25 +302,28 @@ def train_step(model: EnhancementModel, opt: AdamState, batch, lr: float, loss_k
     mixed lengths runs one graph per frame count, each group's mean loss
     weighted by its share of the batch, so the loss is always the mean of
     the per-clip mean losses. Returns (loss, max |gradient| before
-    clipping). Raises TrainingAborted, before any update, when the loss is
-    not finite.
+    clipping). Raises TrainingAborted, before any update, when a block's
+    output or the loss is not finite.
     """
     groups: dict[int, list] = {}
     for mag, target in batch:
         groups.setdefault(mag.shape[0], []).append((mag, target))
     model.zero_grad()
     loss = None
-    for clips in groups.values():
-        mags = np.stack([mag for mag, _ in clips])
-        targets = np.stack([target for _, target in clips])
-        part = T.mul(clip_loss(model(Tensor(mags)), targets, mags, loss_kind), len(clips) / len(batch))
-        loss = part if loss is None else T.add(loss, part)
-    value = loss.item()
+    try:
+        for clips in groups.values():
+            mags = np.stack([mag for mag, _ in clips])
+            targets = np.stack([target for _, target in clips])
+            part = T.mul(clip_loss(model(Tensor(mags)), targets, mags, loss_kind), len(clips) / len(batch))
+            loss = part if loss is None else T.add(loss, part)
+        value = loss.item()
+        fault = None if np.isfinite(value) else f"non-finite loss: loss={value!r}"
+    except NumericError as e:  # a non-finite block output, named by the model
+        fault = str(e)
     named = list(model.named_parameters())
-    if not np.isfinite(value):
+    if fault is not None:
         raise TrainingAborted(
-            f"non-finite loss: loss={value!r}, lr={lr:.6e}, "
-            f"max|param|={max(float(np.abs(p.data).max()) for _, p in named):.6e}"
+            f"{fault}, lr={lr:.6e}, max|param|={max(float(np.abs(p.data).max()) for _, p in named):.6e}"
         )
     backward(loss)
     grads = [p.grad for _, p in named if p.grad is not None]
@@ -350,7 +353,7 @@ def train(
     Writes loss.csv (step,epoch,lr,loss with full-precision floats) and a
     checkpoint every checkpoint_every epochs and at the last step. A resume
     redraws its epoch's done batches and cuts loss.csv back to its step.
-    Raises TrainingAborted with diagnostics once the loss is not finite.
+    Raises TrainingAborted with diagnostics at a non-finite block output or loss.
     """
     model_cfg = run_cfg.model_config()
     train_cfg = run_cfg.train_config()

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import QKV_BLOCK_SIZE
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module, Residual
 from .tensor import Tensor
 
@@ -296,8 +296,6 @@ class MLSTMCore(Module):
         del q, k, v, ig, fg
         # [N * H, L, dh] -> [..., L, d_inner] with features in d-major order (index d * H + head)
         h = T.rearrange(h, (-1, H, L, dh), (0, 2, 3, 1), (*lead, L, di))
-        if not np.all(np.isfinite(h.data)):
-            raise NumericError("mlstm scan produced non-finite state")
         h = T.layer_norm(h, self.out_gain, groups=H)  # per group of d_head consecutive features
         h = T.add(h, T.mul(self.skip, xc))
         return self.down_proj(T.mul(h, gate))

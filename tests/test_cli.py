@@ -8,7 +8,7 @@ import pytest
 
 from tfse import cli
 from tfse.config import read_config
-from tfse.dsp import read_wav, write_wav
+from tfse.dsp import Waveform, read_wav, write_wav
 from tfse.model import build_model, count_params, save_model
 from tfse.synth import tonal_speech
 
@@ -54,6 +54,19 @@ class TestTrain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_fresh_run_refuses_an_out_with_checkpoints(self, toy_cfg_path, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        os.makedirs(out)  # an empty --out trains as before
+        assert cli.main(["train", "--config", toy_cfg_path, "--out", out]) == 0
+        with open(os.path.join(out, "loss.csv"), "rb") as f:
+            log = f.read()
+        capsys.readouterr()
+        assert cli.main(["train", "--config", toy_cfg_path, "--out", out]) == 2
+        assert "already holds ckpt-0001: pass --resume" in capsys.readouterr().err
+        with open(os.path.join(out, "loss.csv"), "rb") as f:
+            assert f.read() == log
+        assert cli.main(["train", "--config", toy_cfg_path, "--out", out, "--resume"]) == 0
+
     def test_unknown_config_key_names_the_key_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("backbone = mamba\ncausal = true\nbogus_key = 1\n")
@@ -94,7 +107,7 @@ class TestEnhance:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["clip_0.wav", "clip_1.wav"]
 
-    def test_nan_weight_reaches_the_mask_check(self, tmp_path, capsys):
+    def test_nan_weight_is_named_by_its_block(self, tmp_path, capsys):
         # relu passes NaN on: one NaN weight must stop enhance, not turn into a finite WAV
         cfg_path = tmp_path / "toy.cfg"
         cfg_path.write_text("backbone = transformer\nblocks = 1\ncausal = true\nd_model = 16\nd_ff = 32\nheads = 2\n")
@@ -107,8 +120,23 @@ class TestEnhance:
         write_wav(wav_in, tonal_speech(np.random.default_rng(0), 0.5), "pcm16")
         code = cli.main(["enhance", "--checkpoint", ckpt, "--in", wav_in, "--out", wav_out])
         assert code == 2
-        assert "mask contains non-finite values" in capsys.readouterr().err
+        assert "transformer blocks.0: non-finite output" in capsys.readouterr().err
         assert not os.path.exists(wav_out)
+
+    @pytest.mark.parametrize("peak", [3e38, 1e35])
+    def test_input_level_out_of_range(self, peak, trained_out, tmp_path, capsys):
+        # past about 1e36 a frame's magnitudes sum beyond float32, where the input norm's mean overflows
+        tone = tonal_speech(np.random.default_rng(0), 0.5).samples
+        wav_in, wav_out = str(tmp_path / "in.wav"), str(tmp_path / "out.wav")
+        write_wav(wav_in, Waveform(tone * (peak / np.abs(tone).max())), "float32")
+        code = cli.main(["enhance", "--checkpoint", latest_ckpt(trained_out), "--in", wav_in, "--out", wav_out,
+                         "--encoding", "float32"])
+        err = capsys.readouterr().err
+        if peak > 1e36:
+            assert code == 2 and "input level out of range" in err
+            assert not os.path.exists(wav_out)
+        else:
+            assert code == 0 and np.all(np.isfinite(read_wav(wav_out).samples))
 
     def test_missing_input_is_a_clean_error(self, trained_out, tmp_path, capsys):
         ckpt = latest_ckpt(trained_out)

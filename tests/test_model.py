@@ -9,7 +9,7 @@ import pytest
 
 from tfse import dsp
 from tfse.config import NONCAUSAL_ONLY, RunConfig, read_config, resolve_config_arg
-from tfse.errors import ConfigError, DimensionError
+from tfse.errors import ConfigError, DimensionError, NumericError
 from tfse.model import (
     build_model,
     count_params,
@@ -139,6 +139,25 @@ class TestMaskOutput:
         model = tiny_model("mamba", True, blocks=1)
         with pytest.raises(DimensionError):
             model(Tensor(rng.uniform(0, 1, (10, 100)).astype(np.float32)))
+
+    @pytest.mark.parametrize(
+        "backbone,param,value",
+        [
+            ("mamba", "blocks.3.core.in_proj.w", np.nan),
+            ("mamba", "blocks.3.core.D", np.inf),  # a scan input
+            ("xlstm", "blocks.3.core.up_proj.w", np.nan),
+            ("xlstm", "blocks.3.core.i_gate.b", np.inf),  # the scan's input gate
+            ("transformer", "blocks.3.ffn_in.w", np.nan),
+            ("transformer", "blocks.3.attn.wq.b", np.inf),  # the attention scores
+            ("mamba", "input_proj.w", np.nan),
+        ],
+    )
+    def test_first_non_finite_output_is_named(self, backbone, param, value, frames):
+        model = tiny_model(backbone, True, blocks=4)
+        dict(model.named_parameters())[param].data.flat[0] = value
+        path = "blocks.3" if param.startswith("blocks.3.") else "input_proj"
+        with no_grad(), pytest.raises(NumericError, match=rf"^{backbone} {path}: non-finite output$"):
+            model(Tensor(frames))
 
     def test_sinusoidal_pe_changes_output(self, frames):
         plain = tiny_model("transformer", False, pe="none")

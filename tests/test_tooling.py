@@ -1,7 +1,7 @@
 """Source hygiene: every import in the package and its tests is used,
 `import tfse` leaves the training and evaluation modules unloaded, text files
-are read only through `config.read_text`, and every module is called with one
-input."""
+are read only through `config.read_text`, `NumericError` is raised only by the
+model's forward, and every module is called with one input."""
 
 import ast
 import importlib
@@ -140,6 +140,39 @@ def test_the_text_read_scan_flags_text_modes_only():
         "    return open(path, 'wb'), g\n"
     )
     assert text_reads(source) == [("f", 2), ("f", 5), ("f", 6), ("g", 8)]
+
+
+def raised_names(source: str) -> list[tuple[str, int]]:
+    """(exception name, line) of each `raise` of a name or attribute, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                found.append((exc.id if isinstance(exc, ast.Name) else exc.attr, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_numeric_error_is_raised_only_by_the_model_forward():
+    # one finite check per block output; a scan or core that grows its own check shows here
+    package = sorted((ROOT / "src" / "tfse").glob("*.py"))
+    found = [p.name for p in package for name, _ in raised_names(p.read_text(encoding="utf-8")) if name == "NumericError"]
+    assert found == ["model.py"]
+
+
+def test_the_raise_scan_reads_calls_and_bare_names():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise NumericError('a')\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise errors.NumericError('b')\n"
+        "raise KeyError\n"
+    )
+    assert raised_names(source) == [("NumericError", 3), ("NumericError", 8), ("KeyError", 9)]
 
 
 def module_classes() -> list[type]:

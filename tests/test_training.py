@@ -363,21 +363,23 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="corpus"):
             train(toy_config("", epochs=1), str(tmp_path / "run"))
 
-    def test_poisoned_checkpoint_aborts_with_diagnostics(self, corpus_manifest, tmp_path):
-        # transformer backbone: NaN weights flow through to the loss, which is
-        # where the loop's own abort check must catch them (the scan backbones
-        # reject non-finite inputs earlier with their own error)
+    @pytest.mark.parametrize("backbone", ["transformer", "mamba", "xlstm"])
+    def test_poisoned_checkpoint_aborts_with_diagnostics(self, backbone, corpus_manifest, tmp_path):
+        # the first weight by name sits in block 0: the forward's finite check
+        # names that block, and the loop reports it like a non-finite loss
         from tfse.archive import load_tensors, save_tensors
 
-        cfg = toy_config(corpus_manifest, backbone="transformer", epochs=1)
+        cfg = toy_config(corpus_manifest, backbone=backbone, epochs=1)
         first = train(cfg, str(tmp_path / "run"))
         path = os.path.join(first.checkpoint_dir, "model.tensors")
         tensors = load_tensors(path)
         key = sorted(tensors)[0]
+        assert key.startswith("blocks.0.")
         tensors[key] = np.full_like(tensors[key], np.nan)
         save_tensors(path, tensors)
-        with pytest.raises(TrainingAborted, match=r"step \d+.*lr.*max\|param\|"):
-            train(toy_config(corpus_manifest, backbone="transformer", epochs=2),
+        named = rf"step \d+ .*{backbone} blocks\.0: non-finite output.*lr.*max\|param\|"
+        with pytest.raises(TrainingAborted, match=named):
+            train(toy_config(corpus_manifest, backbone=backbone, epochs=2),
                   str(tmp_path / "run"), resume_from=first.checkpoint_dir)
 
 
