@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from . import pe as PE
 from . import tensor as T
-from .errors import ConfigError
 from .module import DepthwiseConv1d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
@@ -22,8 +21,6 @@ class MultiHeadSelfAttention(Module):
     """Scaled dot-product attention over frames, H heads of size d_model/H."""
 
     def __init__(self, d_model: int, heads: int, rng, dtype, causal: bool = False, rope: bool = False):
-        if d_model % heads:
-            raise ConfigError(f"d_model {d_model} not divisible by {heads} heads")
         self.heads = heads
         self.d_head = d_model // heads
         self.causal = causal

@@ -265,11 +265,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .training import latest_checkpoint, train
+    from .training import checkpoint_dirs, latest_checkpoint, train
 
     rc = read_config(resolve_config_arg(args.config))
     resume_from = latest_checkpoint(args.out) if args.resume else None
-    stale = [] if args.resume else sorted(d.rstrip("/") for d in glob.glob("ckpt-*/", root_dir=args.out))
+    stale = [] if args.resume else checkpoint_dirs(args.out)
     if stale:  # a fresh run among them would leave --resume continuing the old run
         raise ConfigError(f"--out {args.out} already holds {', '.join(stale)}: pass --resume, or another --out")
 

@@ -103,21 +103,14 @@ class TrainConfig:
     checkpoint_every: int = 1
 
     def validate(self) -> "TrainConfig":
-        for key in ("seed", "max_steps"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key}: must be >= 0, got {getattr(self, key)}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
+        for key, low in (("seed", 0), ("max_steps", 0), ("batch_size", 1), ("epochs", 1), ("step_w", 1),
+                         ("checkpoint_every", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key}: must be >= {low}, got {getattr(self, key)}")
         if self.snr_hi < self.snr_lo:
             raise ConfigError(f"snr_hi: {self.snr_hi} is below snr_lo {self.snr_lo}")
-        if self.step_w < 1:
-            raise ConfigError(f"step_w: must be >= 1, got {self.step_w}")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss: unknown value {self.loss!r}; choose from {', '.join(LOSS_KINDS)}")
-        if self.checkpoint_every < 1:
-            raise ConfigError(f"checkpoint_every: must be >= 1, got {self.checkpoint_every}")
         return self
 
 

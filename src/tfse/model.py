@@ -22,7 +22,7 @@ from .archive import load_tensors, save_tensors
 from .attention import ConformerBlock, TransformerBlock
 from .config import ModelConfig, RunConfig, read_config, write_config
 from .dsp import N_BINS
-from .errors import DegenerateInputError, DimensionError, NumericError
+from .errors import DegenerateInputError, DimensionError, FormatError, NumericError
 from .module import Bidirectional, LayerNorm, Linear, Module, Residual
 from .ssm import MambaCore
 from .tensor import Tensor
@@ -80,16 +80,20 @@ class EnhancementModel(Module):
 
     def _finite(self, path: str, h: Tensor) -> Tensor:
         """h, once every value is finite; the one non-finite check of a forward."""
-        if not (np.isfinite(h.data.min()) and np.isfinite(h.data.max())):  # NaN and inf reach them; no temporary
+        if not _all_finite(h.data):
             raise NumericError(f"{self.cfg.backbone} {path}: non-finite output")
         return h
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))  # NaN and inf reach them; no temporary
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> EnhancementModel:
     """Deterministic construction: one seed, one parameter layout, always
     the same bits."""
     rng = np.random.default_rng(seed)
-    return EnhancementModel(cfg.validate(), rng, dtype)
+    return EnhancementModel(cfg, rng, dtype)
 
 
 def count_params(model: EnhancementModel) -> int:
@@ -105,8 +109,10 @@ def enhance(model: EnhancementModel, noisy: dsp.Waveform) -> dsp.Waveform:
     The STFT runs again for the mask, so no spectrum is held through the forward.
     A frame too loud for the model's dtype raises DegenerateInputError."""
     mag = dsp.stft(noisy).magnitude
-    if mag.sum(axis=-1).max() > np.finfo(model.dtype).max:  # the input norm's mean would overflow
-        raise DegenerateInputError(f"input level out of range: a frame's magnitudes sum past {model.dtype}")
+    # the input norm's variance sums squared magnitudes; half the maximum leaves room for float32 rounding
+    if np.einsum("lf,lf->l", mag, mag).max() > np.finfo(model.dtype).max / 2:
+        raise DegenerateInputError(
+            f"input level out of range: a frame's squared magnitudes sum past half the {model.dtype} maximum")
     mag = mag.astype(model.dtype)  # rebound: the float64 spectrum is not held through the forward
     with T.no_grad():
         mask = model(mag)
@@ -131,17 +137,20 @@ def load_model(ckpt_dir: str, dtype=np.float32) -> tuple[EnhancementModel, RunCo
 
     The model is built as a skeleton, its parameters allocated but never
     drawn, and each payload is read straight into its parameter; a
-    checkpoint stored in another dtype is read, then cast.
+    checkpoint stored in another dtype is read, then cast. A parameter that
+    is not finite in `dtype` raises FormatError naming the archive and it.
     """
     run_cfg = read_config(os.path.join(ckpt_dir, CONFIG_FILE))
     model = EnhancementModel(run_cfg.model_config(), None, dtype)
     params = dict(model.named_parameters())
-    stored = load_tensors(os.path.join(ckpt_dir, MODEL_ARCHIVE), {k: p.data for k, p in params.items()})
+    archive = os.path.join(ckpt_dir, MODEL_ARCHIVE)
+    stored = load_tensors(archive, {k: p.data for k, p in params.items()})
     for name, param in params.items():
         arr = stored[name]
-        if arr is param.data:
-            continue
-        if arr.shape != param.data.shape:
-            raise DimensionError(f"{name}: checkpoint shape {arr.shape} != model shape {param.data.shape}")
-        param.data = arr.astype(dtype)
+        if arr is not param.data:
+            if arr.shape != param.data.shape:
+                raise DimensionError(f"{name}: checkpoint shape {arr.shape} != model shape {param.data.shape}")
+            param.data = arr.astype(dtype)
+        if not _all_finite(param.data):
+            raise FormatError(f"{archive}: parameter {name} is not finite")
     return model, run_cfg

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -19,10 +18,8 @@ def sinusoidal_table(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
     """Interleaved sin/cos table, shape [length, d_model].
 
     Column 2i holds sin(pos / 10000^(2i/d_model)), column 2i+1 the cosine at
-    the same rate.
+    the same rate; d_model is even (ModelConfig.validate).
     """
-    if d_model % 2:
-        raise ConfigError(f"sinusoidal table needs even d_model, got {d_model}")
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(d_model // 2, dtype=np.float64)[None, :]
     rate = pos / (10000.0 ** (2.0 * i / d_model))
@@ -41,10 +38,8 @@ def add_sinusoidal(x: Tensor) -> Tensor:
 def rotary_tables(length: int, d_head: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin tables for rotary application, each [length, d_head // 2].
 
-    Pair i rotates at angle pos / 10000^(2i/d_head).
+    Pair i rotates at angle pos / 10000^(2i/d_head); d_head is even.
     """
-    if d_head % 2:
-        raise ConfigError(f"rotary embedding needs an even head dim, got {d_head}")
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(d_head // 2, dtype=np.float64)[None, :]
     theta = pos / (10000.0 ** (2.0 * i / d_head))

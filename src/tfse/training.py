@@ -101,22 +101,13 @@ def epoch_batches(corpus: Corpus, batch_size: int, snr_lo: int, snr_hi: int, rng
 # ---- losses --------------------------------------------------------------
 
 
-def mask_mse(pred: Tensor, target: Tensor) -> Tensor:
-    d = T.sub(pred, target)
-    return T.mean(T.mul(d, d))
-
-
-def masked_magnitude_mse(pred: Tensor, target: Tensor, mag: Tensor) -> Tensor:
-    d = T.mul(T.sub(pred, target), mag)
-    return T.mean(T.mul(d, d))
-
-
 def clip_loss(pred: Tensor, target_nd: np.ndarray, mag_nd: np.ndarray, kind: str) -> Tensor:
-    if kind == "mask-mse":
-        return mask_mse(pred, Tensor(target_nd))
+    """Mean squared mask error; `masked-magnitude-mse` weights each error by
+    the noisy magnitude first. `kind` is a validated TrainConfig.loss."""
+    d = T.sub(pred, Tensor(target_nd))
     if kind == "masked-magnitude-mse":
-        return masked_magnitude_mse(pred, Tensor(target_nd), Tensor(mag_nd))
-    raise ConfigError(f"loss: unknown value {kind!r}")
+        d = T.mul(d, Tensor(mag_nd))
+    return T.mean(T.mul(d, d))
 
 
 # ---- optimizer -----------------------------------------------------------
@@ -280,15 +271,20 @@ def _logged_rows(csv_path: str, global_step: int) -> list[str]:
     return rows
 
 
+def checkpoint_dirs(out_dir: str) -> list[str]:
+    """Names of the ckpt-<epoch> directories in out_dir (none if it does not
+    exist), in epoch order; the ckpt-<epoch>.tmp of a save cut short is not one."""
+    names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+    dirs = [d for d in names if d.startswith("ckpt-") and d[5:].isdecimal() and os.path.isdir(os.path.join(out_dir, d))]
+    return sorted(dirs, key=lambda d: int(d[5:]))
+
+
 def latest_checkpoint(out_dir: str) -> str:
     """The ckpt-<epoch> directory with the highest epoch number."""
-    dirs = [
-        d for d in os.listdir(out_dir)
-        if d.startswith("ckpt-") and d[5:].isdecimal() and os.path.isdir(os.path.join(out_dir, d))
-    ]
+    dirs = checkpoint_dirs(out_dir)
     if not dirs:
         raise DataError(f"no checkpoints under {out_dir}")
-    return os.path.join(out_dir, max(dirs, key=lambda d: int(d[5:])))
+    return os.path.join(out_dir, dirs[-1])
 
 
 # ---- the loop --------------------------------------------------------------
@@ -378,7 +374,7 @@ def train(
     steps_per_epoch = math.ceil(len(corpus.speech) / train_cfg.batch_size)  # the batches epoch_batches yields
     end = min(train_cfg.epochs * steps_per_epoch, train_cfg.max_steps or math.inf)
     last_loss = float("nan")
-    last_grad_max = 0.0
+    previous = "no step has run since the resume" if resume_from else "no previous step"
     # a fresh run always saves; a resumed one with no steps left keeps its own
     ckpt_dir = resume_from or ""
 
@@ -392,12 +388,10 @@ def train(
                 global_step += 1
                 lr = lr_at(global_step, train_cfg.step_w, model_cfg.d_model)
                 try:
-                    last_loss, last_grad_max = train_step(model, opt, batch, lr, train_cfg.loss)
+                    last_loss, grad_max = train_step(model, opt, batch, lr, train_cfg.loss)
                 except TrainingAborted as e:
-                    raise TrainingAborted(
-                        f"step {global_step} (epoch {epoch}): {e}, "
-                        f"max|grad| at previous step={last_grad_max:.6e}"
-                    ) from None
+                    raise TrainingAborted(f"step {global_step} (epoch {epoch}): {e}, {previous}") from None
+                previous = f"max|grad| at previous step={grad_max:.6e}"
                 csv.write(f"{global_step},{epoch},{lr!r},{last_loss!r}\n")
                 if progress is not None:
                     progress(global_step, epoch, lr, last_loss)

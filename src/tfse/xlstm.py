@@ -47,7 +47,6 @@ import numpy as np
 
 from . import tensor as T
 from .config import QKV_BLOCK_SIZE
-from .errors import ConfigError
 from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module, Residual
 from .tensor import Tensor
 
@@ -251,7 +250,7 @@ class MLSTMCore(Module):
     q, k and v are each one project_heads node, a batched matmul by block
     from a strided view of the conv output straight into the scan's
     heads-first [N * H, L, d_head]. Each head must hold whole blocks, so
-    d_inner must be a multiple of heads x QKV_BLOCK_SIZE.
+    d_inner must be a multiple of heads x QKV_BLOCK_SIZE (ModelConfig.validate).
 
     The scan's output is laid out d-major (feature d * heads + head), and
     the norm takes groups of d_head consecutive features, so each group
@@ -260,8 +259,6 @@ class MLSTMCore(Module):
 
     def __init__(self, d_model: int, rng, dtype, heads: int = 4, proj_factor: float = 2.0):
         d_inner = int(round(proj_factor * d_model))
-        if d_inner % (heads * QKV_BLOCK_SIZE):
-            raise ConfigError(f"d_inner {d_inner} not a multiple of {heads} heads x q/k/v block size {QKV_BLOCK_SIZE}")
         self.heads = heads
         self.d_inner = d_inner
         self.d_head = d_inner // heads

@@ -116,6 +116,18 @@ def test_train_step_loss_is_the_mean_of_per_clip_losses_over_mixed_lengths(backb
         np.testing.assert_allclose(p.grad, np.clip(want_grad[name], -1, 1), rtol=1e-9, atol=1e-15, err_msg=name)
 
 
+def test_train_step_with_masked_magnitude_mse_weights_each_error_by_its_magnitude():
+    model = tiny_model("mamba", True, "none", np.float64)
+    rng = np.random.default_rng(4)
+    batch = [(rng.uniform(0, 1.5, (n, 257)), rng.uniform(0, 1, (n, 257))) for n in (20, 33, 20)]
+    with no_grad():
+        want = np.mean([np.mean(((model(Tensor(mag)).data - tgt) * mag) ** 2) for mag, tgt in batch])
+    before = {name: p.data.copy() for name, p in model.named_parameters()}
+    loss, grad_max = train_step(model, AdamState(), batch, 1e-3, "masked-magnitude-mse")
+    assert loss == pytest.approx(want, rel=1e-12) and 0 < grad_max < np.inf
+    assert all(not np.array_equal(p.data, before[name]) for name, p in model.named_parameters())
+
+
 # one node per head split or merge, per attention, per rotary pair swap and
 # per Linear, bias included: a block that rebuilds a chain of layout,
 # score/mask/softmax or matmul-then-bias ops goes over its preset's budget

@@ -67,6 +67,15 @@ class TestTrain:
             assert f.read() == log
         assert cli.main(["train", "--config", toy_cfg_path, "--out", out, "--resume"]) == 0
 
+    def test_a_save_cut_short_neither_blocks_a_fresh_run_nor_counts_for_resume(self, toy_cfg_path, tmp_path, capsys):
+        # a run killed during its first save leaves only ckpt-0001.tmp behind
+        out = tmp_path / "run"
+        (out / "ckpt-0001.tmp").mkdir(parents=True)
+        assert cli.main(["train", "--config", toy_cfg_path, "--out", str(out), "--resume"]) == 2
+        assert f"no checkpoints under {out}" in capsys.readouterr().err
+        assert cli.main(["train", "--config", toy_cfg_path, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["ckpt-0001", "loss.csv"]
+
     def test_unknown_config_key_names_the_key_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("backbone = mamba\ncausal = true\nbogus_key = 1\n")
@@ -107,32 +116,39 @@ class TestEnhance:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["clip_0.wav", "clip_1.wav"]
 
-    def test_nan_weight_is_named_by_its_block(self, tmp_path, capsys):
-        # relu passes NaN on: one NaN weight must stop enhance, not turn into a finite WAV
+    @pytest.mark.parametrize("value, error", [
+        (np.nan, "model.tensors: parameter blocks.0.ffn_in.w is not finite"),  # rejected on load
+        (np.finfo(np.float32).max, "transformer blocks.0: non-finite output"),  # finite, but overflows the block
+    ], ids=["nan-weight", "overflowing-weight"])
+    def test_bad_weight_stops_enhance_named(self, value, error, tmp_path, capsys):
+        # relu passes NaN on: a bad weight must stop enhance, not turn into a finite WAV
         cfg_path = tmp_path / "toy.cfg"
         cfg_path.write_text("backbone = transformer\nblocks = 1\ncausal = true\nd_model = 16\nd_ff = 32\nheads = 2\n")
         rc = read_config(str(cfg_path))
         model = build_model(rc.model_config(), seed=0)
-        dict(model.named_parameters())["blocks.0.ffn_in.w"].data[0, 0] = np.nan
+        dict(model.named_parameters())["blocks.0.ffn_in.w"].data[...] = value
         ckpt = str(tmp_path / "ckpt")
         save_model(ckpt, model, rc)
         wav_in, wav_out = str(tmp_path / "in.wav"), str(tmp_path / "out.wav")
         write_wav(wav_in, tonal_speech(np.random.default_rng(0), 0.5), "pcm16")
-        code = cli.main(["enhance", "--checkpoint", ckpt, "--in", wav_in, "--out", wav_out])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["enhance", "--checkpoint", ckpt, "--in", wav_in, "--out", wav_out])
         assert code == 2
-        assert "transformer blocks.0: non-finite output" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not os.path.exists(wav_out)
 
-    @pytest.mark.parametrize("peak", [3e38, 1e35])
+    @pytest.mark.parametrize("peak", [3e38, 1e35, 3e17, 1e16])
     def test_input_level_out_of_range(self, peak, trained_out, tmp_path, capsys):
-        # past about 1e36 a frame's magnitudes sum beyond float32, where the input norm's mean overflows
+        # from about 3e17 a frame's squared magnitudes sum past half the float32
+        # maximum, where the input norm's variance overflows and the frame
+        # would normalize to the bias alone
         tone = tonal_speech(np.random.default_rng(0), 0.5).samples
         wav_in, wav_out = str(tmp_path / "in.wav"), str(tmp_path / "out.wav")
         write_wav(wav_in, Waveform(tone * (peak / np.abs(tone).max())), "float32")
         code = cli.main(["enhance", "--checkpoint", latest_ckpt(trained_out), "--in", wav_in, "--out", wav_out,
                          "--encoding", "float32"])
         err = capsys.readouterr().err
-        if peak > 1e36:
+        if peak > 1e17:
             assert code == 2 and "input level out of range" in err
             assert not os.path.exists(wav_out)
         else:

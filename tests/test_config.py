@@ -1,6 +1,7 @@
 """Config parsing, validation, and the shipped preset collection."""
 
 import dataclasses
+import inspect
 import re
 from dataclasses import fields
 
@@ -68,14 +69,6 @@ class TestParsing:
 
 
 class TestModelValidation:
-    def test_unknown_backbone(self):
-        with pytest.raises(ConfigError, match="backbone"):
-            ModelConfig(backbone="lstm").validate()
-
-    def test_blocks_must_be_positive(self):
-        with pytest.raises(ConfigError, match="blocks"):
-            ModelConfig(blocks=0).validate()
-
     def test_recurrent_backbones_must_be_causal(self):
         for b in ("mamba", "xlstm"):
             with pytest.raises(ConfigError, match="causal"):
@@ -90,20 +83,6 @@ class TestModelValidation:
         with pytest.raises(ConfigError, match="pe"):
             ModelConfig(backbone="mamba", pe="sin").validate()
         ModelConfig(backbone="transformer", causal=False, pe="sin").validate()
-
-    def test_unknown_pe_kind(self):
-        with pytest.raises(ConfigError, match="pe"):
-            ModelConfig(backbone="transformer", pe="learned").validate()
-
-    def test_heads_must_divide_width(self):
-        with pytest.raises(ConfigError, match="head"):
-            ModelConfig(backbone="transformer", d_model=256, heads=7).validate()
-
-    def test_rope_needs_even_head_width(self):
-        with pytest.raises(ConfigError, match="rope|head"):
-            ModelConfig(
-                backbone="transformer", causal=False, pe="rope", d_model=36, heads=4
-            ).validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, 0.0])
     def test_proj_factor_must_be_finite_and_positive(self, value):
@@ -152,6 +131,52 @@ class TestModelValidation:
         assert ModelConfig(backbone="c-bixlstm", blocks=4, causal=False).name == "c-bixlstm-4"
 
 
+# one case per rule of ModelConfig.validate and TrainConfig.validate, the one
+# place each rule is checked: (section, values that break only that rule, key)
+RULES = {
+    "backbone-unknown": (ModelConfig, dict(backbone="lstm"), "backbone"),
+    "blocks-0": (ModelConfig, dict(blocks=0), "blocks"),
+    "pe-unknown": (ModelConfig, dict(pe="learned"), "pe"),
+    "pe-needs-attention": (ModelConfig, dict(backbone="mamba", pe="sin"), "pe"),
+    "causal-only": (ModelConfig, dict(backbone="xlstm", causal=False), "causal"),
+    "bidirectional-only": (ModelConfig, dict(backbone="bimamba", causal=True), "causal"),
+    **{f"{key}-0": (ModelConfig, {key: 0}, key)
+       for key in ("d_model", "d_ff", "d_state", "expand", "d_conv", "conv_kernel")},
+    "proj_factor-0": (ModelConfig, dict(backbone="xlstm", proj_factor=0.0), "proj_factor"),
+    "heads-negative": (ModelConfig, dict(heads=-1), "heads"),
+    "heads-divide-d_model": (ModelConfig, dict(d_model=256, heads=7), "heads"),
+    "rope-odd-head-dim": (ModelConfig, dict(pe="rope", d_model=14, heads=2), "pe"),
+    "sin-odd-d_model": (ModelConfig, dict(pe="sin", d_model=7, heads=1), "pe"),
+    "xlstm-d_inner-below-blocks": (ModelConfig, dict(backbone="xlstm", d_model=16, proj_factor=0.5), "proj_factor"),
+    "xlstm-d_inner-not-whole-blocks": (ModelConfig, dict(backbone="xlstm", d_model=24, proj_factor=1.0), "heads"),
+    **{f"{key}-negative": (TrainConfig, {key: -1}, key) for key in ("seed", "max_steps")},
+    **{f"{key}-0": (TrainConfig, {key: 0}, key) for key in ("batch_size", "epochs", "step_w", "checkpoint_every")},
+    "snr-unordered": (TrainConfig, dict(snr_lo=10, snr_hi=-10), "snr_hi"),
+    "loss-unknown": (TrainConfig, dict(loss="l1"), "loss"),
+}
+
+
+@pytest.mark.parametrize("section, values, key", RULES.values(), ids=RULES.keys())
+def test_each_rule_raises_a_config_error_naming_its_key(section, values, key):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        section(**values).validate()
+    with pytest.raises(ConfigError, match=f"^{key}: "):  # and so does the run config's view
+        getattr(RunConfig(**values), "model_config" if section is ModelConfig else "train_config")()
+
+
+def test_the_table_reaches_every_raise_of_both_validates():
+    raises = set()
+    for section in (ModelConfig, TrainConfig):
+        lines, start = inspect.getsourcelines(section.validate)
+        raises |= {start + i for i, line in enumerate(lines) if line.lstrip().startswith("raise ")}
+    reached = set()
+    for section, values, _ in RULES.values():
+        with pytest.raises(ConfigError) as exc:
+            section(**values).validate()
+        reached.add(exc.traceback[-1].lineno + 1)  # pytest counts lines from 0
+    assert reached == raises
+
+
 class TestRunConfigViews:
     def test_sections_pick_their_own_keys(self):
         rc = RunConfig(backbone="mamba", blocks=5, seed=3, epochs=9)
@@ -169,10 +194,6 @@ class TestRunConfigViews:
         assert rc.model_config().backbone == "xlstm"
         with pytest.raises(dataclasses.FrozenInstanceError):
             rc.seed = 5
-
-    def test_snr_range_must_be_ordered(self):
-        with pytest.raises(ConfigError, match="snr"):
-            RunConfig(snr_lo=10, snr_hi=-10).train_config()
 
     @pytest.mark.parametrize("key, value", [("seed", -1), ("max_steps", -3)])
     def test_negative_seed_and_step_cap_rejected(self, key, value):

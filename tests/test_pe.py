@@ -6,6 +6,7 @@ import pytest
 from tfse import pe
 from tfse import tensor as T
 from tfse.attention import MultiHeadSelfAttention
+from tfse.config import ModelConfig
 from tfse.errors import ConfigError
 from tfse.tensor import Tensor, grad_check, grad_check_params
 
@@ -34,9 +35,9 @@ class TestSinusoidalTable:
         b = pe.sinusoidal_table(50, 32, np.float32)
         assert np.array_equal(a, b)
 
-    def test_odd_width_rejected(self):
-        with pytest.raises(ConfigError):
-            pe.sinusoidal_table(4, 7, np.float32)
+    def test_odd_width_rejected(self):  # by the config, before any table is built
+        with pytest.raises(ConfigError, match=r"^pe: sin needs an even d_model, got 7$"):
+            ModelConfig(backbone="transformer", pe="sin", d_model=7, heads=1).validate()
 
     def test_add_sinusoidal_offsets_input(self, rng):
         x = Tensor(rng.normal(size=(5, 8)).astype(np.float64))
@@ -83,9 +84,9 @@ class TestRotary:
         assert dot_at(5, 3) == pytest.approx(dot_at(12, 10), abs=1e-9)
         assert dot_at(9, 2) == pytest.approx(dot_at(17, 10), abs=1e-9)
 
-    def test_odd_head_dim_rejected(self):
-        with pytest.raises(ConfigError):
-            pe.rotary_tables(4, 7, np.float64)
+    def test_odd_head_dim_rejected(self):  # by the config, before any table is built
+        with pytest.raises(ConfigError, match=r"^pe: rope needs an even head dim, got 7$"):
+            ModelConfig(backbone="transformer", pe="rope", d_model=14, heads=2).validate()
 
     def test_matches_the_rotation_formula(self, rng):
         # a rotation by -theta keeps norms and relative phases, but not this

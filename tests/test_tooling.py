@@ -1,7 +1,8 @@
 """Source hygiene: every import in the package and its tests is used,
 `import tfse` leaves the training and evaluation modules unloaded, text files
 are read only through `config.read_text`, `NumericError` is raised only by the
-model's forward, and every module is called with one input."""
+model's forward, the layers and the model raise no `ConfigError`, and every
+module is called with one input."""
 
 import ast
 import importlib
@@ -158,6 +159,15 @@ def test_numeric_error_is_raised_only_by_the_model_forward():
     package = sorted((ROOT / "src" / "tfse").glob("*.py"))
     found = [p.name for p in package for name, _ in raised_names(p.read_text(encoding="utf-8")) if name == "NumericError"]
     assert found == ["model.py"]
+
+
+def test_layers_and_the_model_raise_no_config_error():
+    # ModelConfig.validate owns every config rule; the code it configures trusts a validated config
+    trusting = ("attention.py", "ssm.py", "xlstm.py", "pe.py", "module.py", "tensor.py", "model.py")
+    found = [(name, line) for name in trusting
+             for exc, line in raised_names((ROOT / "src" / "tfse" / name).read_text(encoding="utf-8"))
+             if exc == "ConfigError"]
+    assert found == []
 
 
 def test_the_raise_scan_reads_calls_and_bare_names():

@@ -3,6 +3,7 @@ determinism, loss logging, resume equivalence, and failure diagnostics."""
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -25,15 +26,14 @@ from tfse.training import (
     AdamState,
     adam_step,
     clip_gradients,
+    clip_loss,
     epoch_batches,
     load_checkpoint,
     load_corpus,
     latest_checkpoint,
     lr_at,
     make_example,
-    mask_mse,
     save_checkpoint,
-    masked_magnitude_mse,
     train,
 )
 
@@ -143,18 +143,18 @@ class TestOptimizer:
 class TestLosses:
     def test_mask_mse_zero_on_match(self, rng):
         t = rng.uniform(0, 1, (6, 257)).astype(np.float32)
-        assert mask_mse(Tensor(t), Tensor(t)).item() == 0.0
+        assert clip_loss(Tensor(t), t, t, "mask-mse").item() == 0.0
 
-    def test_mask_mse_value(self):
+    def test_mask_mse_value(self):  # mask-mse leaves the magnitude out; the other kind weights by it
         pred = Tensor(np.full((2, 3), 0.75, dtype=np.float64))
-        tgt = Tensor(np.full((2, 3), 0.25, dtype=np.float64))
-        assert mask_mse(pred, tgt).item() == pytest.approx(0.25)
+        tgt, mag = np.full((2, 3), 0.25), np.full((2, 3), 2.0)
+        assert clip_loss(pred, tgt, mag, "mask-mse").item() == pytest.approx(0.25)
+        assert clip_loss(pred, tgt, mag, "masked-magnitude-mse").item() == pytest.approx(1.0)
 
     def test_magnitude_weighting_silences_quiet_bins(self, rng):
         pred = Tensor(rng.uniform(0, 1, (4, 5)).astype(np.float64))
-        tgt = Tensor(rng.uniform(0, 1, (4, 5)).astype(np.float64))
-        zero_mag = Tensor(np.zeros((4, 5)))
-        assert masked_magnitude_mse(pred, tgt, zero_mag).item() == 0.0
+        tgt = rng.uniform(0, 1, (4, 5))
+        assert clip_loss(pred, tgt, np.zeros((4, 5)), "masked-magnitude-mse").item() == 0.0
 
 
 class TestData:
@@ -365,22 +365,35 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("backbone", ["transformer", "mamba", "xlstm"])
     def test_poisoned_checkpoint_aborts_with_diagnostics(self, backbone, corpus_manifest, tmp_path):
-        # the first weight by name sits in block 0: the forward's finite check
-        # names that block, and the loop reports it like a non-finite loss
+        # block 0's weights at the float32 maximum load (they are finite), but
+        # overflow in the forward: its finite check names that block, and the
+        # loop reports it like a non-finite loss, with no step since the resume
         from tfse.archive import load_tensors, save_tensors
 
         cfg = toy_config(corpus_manifest, backbone=backbone, epochs=1)
         first = train(cfg, str(tmp_path / "run"))
         path = os.path.join(first.checkpoint_dir, "model.tensors")
         tensors = load_tensors(path)
-        key = sorted(tensors)[0]
-        assert key.startswith("blocks.0.")
-        tensors[key] = np.full_like(tensors[key], np.nan)
+        for key in tensors:
+            if key.startswith("blocks.0."):
+                tensors[key] = np.full_like(tensors[key], np.finfo(np.float32).max)
         save_tensors(path, tensors)
-        named = rf"step \d+ .*{backbone} blocks\.0: non-finite output.*lr.*max\|param\|"
-        with pytest.raises(TrainingAborted, match=named):
+        named = (rf"^step 2 \(epoch 1\): {backbone} blocks\.0: non-finite output.*lr.*max\|param\|.*"
+                 r", no step has run since the resume$")
+        with pytest.raises(TrainingAborted, match=named), np.errstate(over="ignore", invalid="ignore"):
             train(toy_config(corpus_manifest, backbone=backbone, epochs=2),
                   str(tmp_path / "run"), resume_from=first.checkpoint_dir)
+
+    def test_non_finite_weight_is_rejected_on_load(self, corpus_manifest, tmp_path):
+        from tfse.archive import load_tensors, save_tensors
+
+        first = train(toy_config(corpus_manifest, epochs=1), str(tmp_path / "run"))
+        path = os.path.join(first.checkpoint_dir, "model.tensors")
+        tensors = load_tensors(path)
+        tensors["output_proj.b"][3] = np.inf
+        save_tensors(path, tensors)
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}: parameter output_proj\.b is not finite$"):
+            load_checkpoint(first.checkpoint_dir)
 
 
 class TestCheckpointState:

@@ -8,6 +8,7 @@ import pytest
 
 from tfse import tensor as T
 from tfse import xlstm
+from tfse.config import ModelConfig
 from tfse.errors import ConfigError
 from tfse.module import Bidirectional, Residual
 from tfse.xlstm import (
@@ -260,13 +261,14 @@ class TestMLSTMCore:
             y2 = core(Tensor(x2)).data
         np.testing.assert_array_equal(y1[:8], y2[:8])
 
-    def test_rejects_indivisible_head_split(self):
-        with pytest.raises(ConfigError, match="heads"):
-            MLSTMCore(10, np.random.default_rng(0), F64, heads=4, proj_factor=1.1)
+    # the config rejects a core whose heads do not hold whole q/k/v blocks, before it is built
+    def test_rejects_indivisible_head_split(self):  # d_inner 22 over 4 heads
+        with pytest.raises(ConfigError, match=r"^heads: d_inner 22 not a multiple of 4 heads x block size 4$"):
+            ModelConfig(backbone="xlstm", d_model=20, heads=4, proj_factor=1.1).validate()
 
     def test_rejects_indivisible_qkv_blocks(self):  # d_head 6 is not whole blocks of 4
-        with pytest.raises(ConfigError, match="block size 4"):
-            MLSTMCore(24, np.random.default_rng(0), F64, heads=4, proj_factor=1.0)
+        with pytest.raises(ConfigError, match=r"^heads: d_inner 24 not a multiple of 4 heads x block size 4$"):
+            ModelConfig(backbone="xlstm", d_model=24, heads=4, proj_factor=1.0).validate()
 
     @pytest.mark.parametrize("shape", [(7, 12), (2, 7, 12)], ids=["2d", "3d"])
     def test_block_i_maps_features_i_times_block_size_onward(self, rng, shape, monkeypatch):
