@@ -13,10 +13,13 @@ for bounded inputs.
 selective_scan_seq builds the recurrence from graph primitives one step at a
 time and is the reference. selective_scan_par is the engine the models use:
 one graph node whose forward runs the recurrence in place over one
-d_inner x d_state state per clip of a batch, O(L) work. When the graph is
-recorded it keeps only the state entering each SEG-frame segment, and its
-backward recomputes a segment's states from it, bit for bit, before the
-reverse scan over that segment
+d_inner x d_state state per clip of a batch, O(L) work, forming delta * u
+and the D * u skip one SEG-frame segment at a time. When the graph is
+recorded it keeps only the state entering each segment. Its backward forms
+everything else again from the six inputs by the forward's own ops: the
+time-major copies of u, delta, B and C, then per segment delta * u and the
+segment's states from its kept start, bit for bit, before the reverse scan
+over that segment
 
     dh_t = C_t (x) dy_t + exp(delta_{t+1} * A) * dh_{t+1}
 
@@ -63,73 +66,82 @@ def _time_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(-1, L, c).swapaxes(0, 1))
 
 
+def _operands(u, delta, A, B, C):
+    """The scan's time-major u, delta, B and C, its A as [d_state, d_inner], and advance(h, t, du, a,
+    out), one step: h_t into out from h = h_{t-1}, exp(delta_t * A) into a, given du = delta_t u_t.
+    Time-major, [L, N, ...] over the N folded clips, makes every per-frame slice one basic index into
+    a contiguous block. The state is held as [N, d_state, d_inner], so every per-step op runs along the
+    long d_inner rows; numpy's broadcasting loops are much slower over the short d_state rows. The
+    backward forms all of this again rather than keep it, and steps as the forward did, bit for bit."""
+    ud, dt, Bd, Cd = (_time_major(x.data) for x in (u, delta, B, C))
+    At = np.ascontiguousarray(A.data.T)
+    dt_t, B_t, outer = dt[:, :, None, :], Bd[:, :, :, None], np.empty((ud.shape[1],) + At.shape, dtype=ud.dtype)
+
+    def advance(h, t, du, a, out):
+        np.exp(np.multiply(dt_t[t], At, out=a), out=a)
+        np.multiply(h, a, out=out)
+        # (delta_t u_t) B_t as a broadcast copy scaled in place: numpy runs
+        # that faster than a multiply that broadcasts both operands
+        np.copyto(outer, du[:, None, :])
+        np.multiply(outer, B_t[t], out=outer)
+        out += outer
+        return out
+
+    return ud, dt, Bd, Cd, At, advance
+
+
 def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
     """Fused engine: one graph node with an analytic reverse-scan backward.
     Same contract (leading batch axes included) and result as the
     sequential one up to floating-point summation order."""
     inputs = (u, delta, A, B, C, D)
-    # Time-major inside, [L, N, ...] over the N folded clips, so every
-    # per-frame slice below is one basic index into a contiguous block. The
-    # state is held as [N, d_state, d_inner], so every per-step op runs
-    # along the long d_inner rows; numpy's broadcasting loops are much slower
-    # over the short d_state rows of the [d_inner, d_state] layout.
-    ud, dt, Bd, Cd = (_time_major(x.data) for x in (u, delta, B, C))
-    Dd = D.data
-    At = np.ascontiguousarray(A.data.T)
-    L, N, d_inner = ud.shape
-    du = dt * ud
-    shape = (N,) + At.shape
+    ud, dt, Bd, Cd, At, advance = _operands(u, delta, A, B, C)
+    L, shape = len(ud), (ud.shape[1],) + At.shape
     starts = np.empty((-(-L // SEG),) + shape, dtype=ud.dtype) if T.is_recording(inputs) else None
     y = np.empty_like(ud)
-    dt_t, du_t, B_t = dt[:, :, None, :], du[:, :, None, :], Bd[:, :, :, None]
     C_t, y_t = Cd[:, :, None, :], y[:, :, None, :]
-    h, a, outer = (np.zeros(shape, dtype=ud.dtype) for _ in range(3))
-
-    def advance(h, t, a, out):  # h_t into out, exp(delta_t * A) into a; the backward recomputes with it
-        np.exp(np.multiply(dt_t[t], At, out=a), out=a)
-        np.multiply(h, a, out=out)
-        # (delta_t u_t) B_t as a broadcast copy scaled in place: numpy runs
-        # that faster than a multiply that broadcasts both operands
-        np.copyto(outer, du_t[t])
-        np.multiply(outer, B_t[t], out=outer)
-        out += outer
-        return out
-
-    for t in range(L):
-        if starts is not None and t % SEG == 0:
-            starts[t // SEG] = h
-        advance(h, t, a, h)
-        np.matmul(C_t[t], h, out=y_t[t])
-    y += np.multiply(ud, Dd, out=du if starts is None else None)  # into the dead du when no backward reads it
+    h, a, du = np.zeros(shape, dtype=ud.dtype), np.empty(shape, dtype=ud.dtype), np.empty_like(ud[:SEG])
+    for t0 in range(0, L, SEG):  # delta u, then the D u skip, formed one segment at a time in one buffer
+        n = min(SEG, L - t0)
+        if starts is not None:
+            starts[t0 // SEG] = h
+        np.multiply(dt[t0:t0 + n], ud[t0:t0 + n], out=du[:n])
+        for t in range(t0, t0 + n):
+            advance(h, t, du[t - t0], a, h)
+            np.matmul(C_t[t], h, out=y_t[t])
+        y[t0:t0 + n] += np.multiply(ud[t0:t0 + n], D.data, out=du[:n])
 
     def grad_fn(g):
         g = _time_major(g)
-        # One reverse pass over the segments: each first recomputes its h_t
-        # and exp(delta_t * A) from its kept start, by the forward's own step.
+        # One reverse pass over the segments: each first forms its delta u
+        # and recomputes its h_t and exp(delta_t * A) from its kept start, by
+        # the forward's own step.
         # dh_t, the gradient of h_t, gives frame t its u, B and C gradients
         # and carries to t-1 as dh_t * exp(delta_t * A); that carry times
         # h_{t-1} is the gradient of delta_t * A taken before the exp, which
         # gives the delta and A gradients. Every reduction runs on one frame's
         # slices while they are in cache.
+        ud, dt, Bd, Cd, At, advance = _operands(u, delta, A, B, C)
         d_du, d_delta, dB, dC = np.empty_like(ud), np.empty_like(ud), np.empty_like(Bd), np.empty_like(Cd)
         dA_sum = np.zeros_like(At)
         g_t, g_col = g[:, :, None, :], g[:, :, :, None]
-        C_col, B_row, du_col = Cd[:, :, :, None], Bd[:, :, None, :], du[:, :, :, None]
+        C_col, B_row = Cd[:, :, :, None], Bd[:, :, None, :]
         d_du_t, dB_t, dC_t = d_du[:, :, None, :], dB[:, :, :, None], dC[:, :, :, None]
-        dh, tmp = np.zeros(shape, dtype=ud.dtype), np.empty(shape, dtype=ud.dtype)
+        dh, tmp, du = np.zeros(shape, dtype=ud.dtype), np.empty(shape, dtype=ud.dtype), np.empty_like(ud[:SEG])
         hseg, aseg = (np.empty((min(SEG, L),) + shape, dtype=ud.dtype) for _ in range(2))
         for s in reversed(range(len(starts))):
             t0, n = s * SEG, min(SEG, L - s * SEG)
+            np.multiply(dt[t0:t0 + n], ud[t0:t0 + n], out=du[:n])
             h = starts[s]  # read, never written
             for j in range(n):
-                h = advance(h, t0 + j, aseg[j], hseg[j])
+                h = advance(h, t0 + j, du[j], aseg[j], hseg[j])
             for j in reversed(range(n)):
                 t = t0 + j
                 np.copyto(tmp, g_t[t])
                 tmp *= C_col[t]
                 dh += tmp
                 np.matmul(B_row[t], dh, out=d_du_t[t])
-                np.matmul(dh, du_col[t], out=dB_t[t])
+                np.matmul(dh, du[j, :, :, None], out=dB_t[t])
                 np.matmul(hseg[j], g_col[t], out=dC_t[t])
                 dh *= aseg[j]  # carry to t-1
                 if t:
@@ -139,7 +151,7 @@ def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
         d_delta[0] = 0.0  # h_{-1} = 0
         d_delta += d_du * ud
         d_du *= dt
-        d_du += g * Dd
+        d_du += g * D.data
         for x, dx in ((u, d_du), (delta, d_delta), (B, dB), (C, dC)):
             x._accumulate(dx.swapaxes(0, 1).reshape(x.shape), owned=True)
         A._accumulate(dA_sum.T, owned=True)

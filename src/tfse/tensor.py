@@ -9,12 +9,14 @@ concat, sum and mean, and four fused ops of one node and a closed-form
 backward each: the affine map of a Linear layer, scaled dot-product
 attention, (grouped) layer norm and depthwise 1-D convolution.
 
-Gradient accumulation is additive: repeated backward() calls keep adding to
-leaf .grad buffers until zero_grad(). Intermediate grads are scratch: cleared
-at the start of each backward pass and freed as each node's backward consumes
-its own. _accumulate keeps an array an op allocated for one parent alone
-(owned=True) as that parent's first .grad; a g passed through to a parent, a
-broadcast view or a slice of a larger buffer is copied, as others may hold it.
+Gradient accumulation is additive: backward() calls on fresh graphs keep
+adding to leaf .grad buffers until zero_grad(). A graph runs backward once,
+each node freeing its grad, closure and parent links as its backward runs,
+and a fused op's closure keeps no array its backward can rebuild in a pass
+or two from the inputs. _accumulate keeps an array an op allocated for one
+parent alone (owned=True) as that parent's first .grad; a g passed through
+to a parent, a broadcast view or a slice of a larger buffer is copied, as
+others may hold it.
 """
 
 from __future__ import annotations
@@ -222,27 +224,33 @@ class CompGraph:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.root = root
         self.order = order
 
 
 def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss.
+    """Run reverse-mode accumulation from a scalar loss, consuming its graph.
 
     Leaf gradients add onto any existing .grad (call zero_grad between
-    steps); an intermediate node's grad is freed once its backward has run.
+    steps). Nodes run in reverse topological order, and each drops its grad,
+    its backward closure and its parents once its backward has run, so a
+    buffer lives only until the last backward that reads it. A graph runs
+    backward once: reaching a consumed node (a second call on the same loss,
+    or a loss built on an already differentiated subgraph) raises GraphError
+    before any gradient moves.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    graph = CompGraph(loss)
-    for node in graph.order:
-        if node._grad_fn is not None:
-            node.grad = None
+    order = CompGraph(loss).order
+    for node in order:
+        if node._grad_fn is None and node.requires_grad and node.op != "leaf":
+            raise GraphError(f"backward reached a {node.op!r} node whose graph has already run backward")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(graph.order):
-        if node._grad_fn is not None and node.grad is not None:
-            node._grad_fn(node.grad)
-            node.grad = None
+    while order:
+        node = order.pop()
+        if node._grad_fn is not None:
+            if node.grad is not None:
+                node._grad_fn(node.grad)
+            node.grad, node._grad_fn, node._parents = None, None, ()
 
 
 # ---- arithmetic -------------------------------------------------------------
@@ -343,15 +351,13 @@ def exp(a: Tensor) -> Tensor:
     return _make(out, (a,), grad_fn, "exp")
 
 
-def _sigmoid_nd(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid_nd(x: np.ndarray) -> np.ndarray:
     # Two-branch form: never exponentiates a positive number. With
-    # e = exp(-|x|) (passed in by callers that already have it) it is
-    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, computed in whole-array
-    # passes (boolean-mask indexing is several times slower on
-    # activation-sized arrays). Since e <= 1, maximum(e, x >= 0) is that
-    # numerator, NaN included, in one pass (where() is slower).
-    if e is None:
-        e = np.exp(-np.abs(x))
+    # e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    # computed in whole-array passes (boolean-mask indexing is several times
+    # slower on activation-sized arrays). Since e <= 1, maximum(e, x >= 0)
+    # is that numerator, NaN included, in one pass (where() is slower).
+    e = np.exp(-np.abs(x))
     out = np.maximum(e, x >= 0)
     return np.divide(out, 1.0 + e, out=out)
 
@@ -374,14 +380,16 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0), (a,), grad_fn, "relu")  # passes NaN on, where a mask would zero it
 
 
-def silu(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # x / (1 + exp(-x)), one exp; where exp(-x) overflows, -0.0, the limit
-        d = np.exp(-a.data)
-    d += 1.0
-    out = a.data / d
+def _one_plus_exp_neg(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # where exp(-x) overflows, inf: x / it is -0.0, silu's limit
+        return np.exp(-x) + 1.0
 
-    def grad_fn(g):
-        s = np.reciprocal(d)  # sigmoid(x)
+
+def silu(a: Tensor) -> Tensor:
+    out = a.data / _one_plus_exp_neg(a.data)  # x / (1 + exp(-x)), one exp
+
+    def grad_fn(g):  # the backward rebuilds 1 + exp(-x) rather than keep it
+        s = np.reciprocal(_one_plus_exp_neg(a.data))  # sigmoid(x)
         a._accumulate(g * (s + out * (1.0 - s)), owned=True)
 
     return _make(out, (a,), grad_fn, "silu")
@@ -389,11 +397,10 @@ def silu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.log1p(e) + np.maximum(x, 0.0)
+    out = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
-    def grad_fn(g):
-        a._accumulate(g * _sigmoid_nd(x, e), owned=True)
+    def grad_fn(g):  # sigmoid(x) forms exp(-|x|) again rather than keep it
+        a._accumulate(g * _sigmoid_nd(x), owned=True)
 
     return _make(out.astype(x.dtype, copy=False), (a,), grad_fn, "softplus")
 
@@ -558,22 +565,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, groups: int 
     last axis to zero mean / unit variance, then scale by gain and add bias."""
     xd = x.data
     xg = xd if groups == 1 else xd.reshape(*xd.shape[:-1], groups, xd.shape[-1] // groups)
-    xc = xg - _mean_last(xg)
+    mu = _mean_last(xg)
+    xc = xg - mu
     var = _mean_last(xc * xc)
     rstd = (var + LAYER_NORM_EPS) ** -0.5
     xc *= rstd  # now x-hat, the normalized input
-    normed = xc.reshape(xd.shape)
-    out = normed * gain.data
+    out = xc.reshape(xd.shape) * gain.data
     if bias is not None:
         out += bias.data
 
-    def grad_fn(g):
+    def grad_fn(g):  # keeps the per-row mean and rstd, and rebuilds x-hat from them by the forward's ops
+        xc = xg - mu
+        xc *= rstd
         if x.requires_grad:
             gh = (g * gain.data).reshape(xg.shape)
             gh -= _mean_last(gh) + xc * _mean_last(gh * xc)
             gh *= rstd
             x._accumulate(gh.reshape(xd.shape), owned=True)
-        gain._accumulate(g * normed, owned=True)
+        gain._accumulate(g * xc.reshape(xd.shape), owned=True)
         if bias is not None:
             bias._accumulate(g)
 
@@ -591,8 +600,8 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
         raise DimensionError(f"depthwise_conv1d channel mismatch: x has {x.shape[-1]}, kernel expects {c}")
     L = x.shape[-2]
     lo = k - 1 if causal else (k - 1) // 2
-    kd = kernel.data
-    xp = np.zeros((*x.shape[:-2], L + k - 1, c), dtype=x.dtype)  # zero-padded frames, np.pad's bits at half its cost
+    kd, shape = kernel.data, (*x.shape[:-2], L + k - 1, c)
+    xp = np.zeros(shape, dtype=x.dtype)  # zero-padded frames, np.pad's bits at half its cost
     xp[..., lo:lo + L, :] = x.data
     out = np.einsum("...kcl,kc->...lc", np.lib.stride_tricks.sliding_window_view(xp, L, axis=-2), kd)
     if bias is not None:
@@ -600,12 +609,14 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
 
     def grad_fn(g):
         if x.requires_grad:
-            gp = np.zeros_like(xp)
+            gp = np.zeros(shape, dtype=x.dtype)
             term = np.empty_like(g)
             for j in range(k):
                 gp[..., j:j + L, :] += np.multiply(g, kd[j], out=term)
             x._accumulate(gp[..., lo:lo + L, :])
-        if kernel.requires_grad:  # one einsum over the k sliding windows of the padded input
+        if kernel.requires_grad:  # one einsum over the k sliding windows of the input, padded again
+            xp = np.zeros(shape, dtype=x.dtype)
+            xp[..., lo:lo + L, :] = x.data
             windows = np.lib.stride_tricks.sliding_window_view(xp.reshape(-1, *xp.shape[-2:]), L, axis=1)
             kernel._accumulate(np.einsum("bkcl,blc->kc", windows, g.reshape(-1, L, c)), owned=True)
         if bias is not None:

@@ -299,7 +299,8 @@ def train_step(model: EnhancementModel, opt: AdamState, batch, lr: float, loss_k
     weighted by its share of the batch, so the loss is always the mean of
     the per-clip mean losses. Returns (loss, max |gradient| before
     clipping). Raises TrainingAborted, before any update, when a block's
-    output or the loss is not finite.
+    output, the loss or a parameter's gradient is not finite; the message
+    names the block or the parameter.
     """
     groups: dict[int, list] = {}
     for mag, target in batch:
@@ -317,13 +318,15 @@ def train_step(model: EnhancementModel, opt: AdamState, batch, lr: float, loss_k
     except NumericError as e:  # a non-finite block output, named by the model
         fault = str(e)
     named = list(model.named_parameters())
+    if fault is None:
+        backward(loss)  # a NaN survives each g.max() and g.min(), though not Python's max() over them
+        tops = {name: float(np.maximum(p.grad.max(), -p.grad.min())) for name, p in named if p.grad is not None}
+        fault = next((f"non-finite gradient in {name}" for name, v in tops.items() if not math.isfinite(v)), None)
+        grad_max = max(tops.values(), default=0.0)
     if fault is not None:
         raise TrainingAborted(
             f"{fault}, lr={lr:.6e}, max|param|={max(float(np.abs(p.data).max()) for _, p in named):.6e}"
         )
-    backward(loss)
-    grads = [p.grad for _, p in named if p.grad is not None]
-    grad_max = max((float(np.maximum(g.max(), -g.min())) for g in grads), default=0.0)
     clip_gradients(p for _, p in named)
     adam_step(named, opt, lr)
     return value, grad_max
@@ -349,7 +352,8 @@ def train(
     Writes loss.csv (step,epoch,lr,loss with full-precision floats) and a
     checkpoint every checkpoint_every epochs and at the last step. A resume
     redraws its epoch's done batches and cuts loss.csv back to its step.
-    Raises TrainingAborted with diagnostics at a non-finite block output or loss.
+    Raises TrainingAborted with diagnostics at a non-finite block output,
+    loss or gradient.
     """
     model_cfg = run_cfg.model_config()
     train_cfg = run_cfg.train_config()

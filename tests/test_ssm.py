@@ -138,15 +138,26 @@ class TestScanEquivalence:
         assert grad_check(lambda _x: T.sum_(T.mul(selective_scan_par(*args), w)), args[which]) < 1e-7
 
     def test_fused_backward_leaves_its_saved_state_intact(self, rng):
+        # the backward rebuilds its operands from the inputs and reads its
+        # kept segment starts, so it must leave both as the forward did
         args = random_scan_inputs(rng, 30)
-        for a in args:
-            a.requires_grad = True
-        loss = T.sum_(T.mul(selective_scan_par(*args), Tensor(rng.normal(size=(30, 6)))))
-        T.backward(loss)
-        once = [a.grad.copy() for a in args]
-        T.backward(loss)  # a second pass over the same graph doubles every gradient
-        for a, g in zip(args, once):
-            np.testing.assert_allclose(a.grad, 2 * g, rtol=1e-12, atol=1e-14)
+        w = Tensor(rng.normal(size=(30, 6)))
+        before = [a.data.copy() for a in args]
+        grads = []
+        for _ in range(2):  # two fresh graphs
+            for a in args:
+                a.requires_grad, a.grad = True, None
+            y = selective_scan_par(*args)
+            cells = dict(zip(y._grad_fn.__code__.co_freevars, y._grad_fn.__closure__))
+            starts = cells["starts"].cell_contents
+            kept = starts.copy()
+            T.backward(T.sum_(T.mul(y, w)))
+            grads.append([a.grad for a in args])
+            np.testing.assert_array_equal(starts, kept)
+            for a, b in zip(args, before):
+                np.testing.assert_array_equal(a.data, b)
+        for g1, g2 in zip(*grads):
+            np.testing.assert_array_equal(g1, g2)
 
     def test_fused_scan_is_one_graph_node(self, rng):
         args = random_scan_inputs(rng, 9)

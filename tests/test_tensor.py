@@ -1,6 +1,9 @@
 """Engine tests: every differentiable op is checked against central
 finite differences in float64, plus graph mechanics and error paths."""
 
+import types
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from tfse import tensor as T
 from tfse.config import read_config, resolve_config_arg
 from tfse.errors import DimensionError, GraphError
 from tfse.model import build_model
+from tfse.ssm import SEG, selective_scan_par
 from tfse.tensor import CompGraph, Tensor, backward, grad_check, no_grad
 from tfse.training import clip_loss
 
@@ -104,6 +108,53 @@ class TestGraphMechanics:
         x = Tensor(np.zeros(3, dtype=F64), requires_grad=True)
         with pytest.raises(GraphError):
             x._accumulate(np.zeros((2, 2)))
+
+    def test_backward_consumes_every_node_of_its_graph(self, rng):
+        x, w = t64(rng, 3, 4), t64(rng, 3, 4)
+        loss = T.sum_(T.exp(T.mul(x, w)))
+        nodes = [n for n in CompGraph(loss).order if n.op != "leaf"]
+        backward(loss)
+        assert len(nodes) == 3 and all(n._grad_fn is None and n._parents == () for n in nodes)
+
+    def test_a_second_backward_on_the_same_loss_raises(self, rng):
+        x = t64(rng, 4)
+        loss = T.sum_(T.mul(x, x))
+        backward(loss)
+        once = x.grad.copy()
+        with pytest.raises(GraphError, match="already run backward"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, once)
+
+    def test_a_loss_on_a_consumed_subgraph_raises_before_any_gradient_moves(self, rng):
+        x, w = t64(rng, 4), t64(rng, 4)
+        y = T.exp(T.mul(x, x))
+        backward(T.sum_(y))
+        once = x.grad.copy()
+        with pytest.raises(GraphError, match="'exp' node"):
+            backward(T.sum_(T.mul(y, w)))  # w's path is fresh, y's subgraph is spent
+        np.testing.assert_array_equal(x.grad, once)
+        assert w.grad is None
+
+    def test_a_closure_buffer_is_freed_before_an_earlier_node_runs_backward(self, rng):
+        # the attention probabilities live only in the attention node's
+        # closure; the node that made its input runs backward after it
+        x = t64(rng, 5, 4)
+        h = T.mul(x, 2.0)
+        att = T.attention(h, h, h, causal=True)
+        (probs,) = [c.cell_contents for c in att._grad_fn.__closure__
+                    if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == (5, 5)]
+        loss = T.sum_(T.mul(att, t64(rng, 5, 4, requires_grad=False)))
+        freed, h_grad_fn, seen = weakref.ref(probs), h._grad_fn, []
+        del probs, att
+
+        def probe(g):  # h's backward, reading the weakref first
+            seen.append(freed() is None)
+            h_grad_fn(g)
+
+        h._grad_fn = probe
+        assert freed() is not None
+        backward(loss)
+        assert seen == [True] and x.grad is not None
 
 
 @pytest.mark.parametrize("preset", ["toy-mamba", "toy-xlstm", "toy-conformer"])
@@ -399,6 +450,63 @@ class TestFusedNormAndConv:
         assert err < 1e-6
 
 
+def closure_arrays(fn):
+    """(free variable, array) for every ndarray fn's closure reaches, through
+    the closures of nested functions, tuples and the data of Tensors."""
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        stack = [cell.cell_contents]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, Tensor):
+                v = v.data
+            if isinstance(v, np.ndarray):
+                yield name, v
+            elif isinstance(v, (tuple, list)):
+                stack.extend(v)
+            elif isinstance(v, types.FunctionType):
+                yield from closure_arrays(v)
+
+
+def _fused(op, *inputs, **kw):
+    return op(*inputs, **kw), inputs
+
+
+def _scan_case(rng):
+    args = (t64(rng, 2, 20, 6), t64(rng, 2, 20, 6, lo=1e-3, hi=0.1), t64(rng, 6, 5, lo=-4.0, hi=-0.5),
+            t64(rng, 2, 20, 5), t64(rng, 2, 20, 5), t64(rng, 6))
+    return _fused(selective_scan_par, *args)
+
+
+TRIMMED_OPS = {
+    "silu": lambda r: _fused(T.silu, t64(r, 2, 7, 8)),
+    "softplus": lambda r: _fused(T.softplus, t64(r, 2, 7, 8)),
+    "layer_norm": lambda r: _fused(T.layer_norm, t64(r, 2, 7, 8), t64(r, 8), t64(r, 8)),
+    "layer_norm-groups": lambda r: _fused(T.layer_norm, t64(r, 2, 7, 8), t64(r, 8), t64(r, 8), groups=4),
+    "conv-causal": lambda r: _fused(T.depthwise_conv1d, t64(r, 2, 7, 8), t64(r, 4, 8), t64(r, 8), causal=True),
+    "conv-centred": lambda r: _fused(T.depthwise_conv1d, t64(r, 2, 7, 8), t64(r, 4, 8), t64(r, 8)),
+    "selective_scan": _scan_case,
+}
+
+
+class TestFusedClosures:
+    """A fused op's backward keeps no array it can rebuild: every array its
+    closure reaches is an input's or the output's data or a per-row
+    reduction (keepdims over the last axis), except the scan's segment starts."""
+
+    @pytest.mark.parametrize("case", TRIMMED_OPS)
+    def test_closure_holds_only_inputs_outputs_and_row_reductions(self, rng, case):
+        out, inputs = TRIMMED_OPS[case](rng)
+        held = list(closure_arrays(out._grad_fn))
+        assert held
+        for name, arr in held:
+            if name == "starts":  # the scan's deliberate store, one state per SEG-frame segment
+                assert case == "selective_scan" and arr.shape == (-(-20 // SEG), 2, 5, 6)
+                continue
+            shared = any(np.shares_memory(arr, t.data) for t in (*inputs, out))
+            reduced = arr.ndim > 0 and arr.shape[-1] == 1 and arr.size < out.size
+            assert shared or reduced, (name, arr.shape)
+
+
 class TestLinearAndSilu:
     """T.linear against the folded matmul and the add it replaces, bit for
     bit, and the one-exp SiLU against x * sigmoid(x)."""
@@ -599,8 +707,9 @@ class TestForwardSemantics:
         want[2:] += w2
         backward(loss)
         np.testing.assert_allclose(x.grad, want, atol=1e-12)
-        backward(loss)  # leaf gradients accumulate across calls
-        np.testing.assert_allclose(x.grad, 2 * want, atol=1e-12)
+        backward(T.sum_(T.mul(x[2:], w2)))  # a fresh graph adds into the leaf gradient the first one left
+        want[2:] += w2
+        np.testing.assert_allclose(x.grad, want, atol=1e-12)
 
     def test_getitem_rejects_index_arrays(self, rng):
         x = t64(rng, 5)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import tfse
 from tfse import tensor as T
 from tfse import training
-from tfse.config import RunConfig
+from tfse.config import RunConfig, read_config, resolve_config_arg
 from tfse.errors import ConfigError, DataError, FormatError, TfseError, TrainingAborted
+from tfse.model import build_model
 from tfse.tensor import Tensor, backward
 from tfse.training import (
     ADAM_BETA1,
@@ -35,6 +36,7 @@ from tfse.training import (
     make_example,
     save_checkpoint,
     train,
+    train_step,
 )
 
 TOY = dict(
@@ -396,6 +398,31 @@ class TestTrainLoop:
             load_checkpoint(first.checkpoint_dir)
 
 
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
+        # a NaN in one gradient is lost in Python's max() over the others; the
+        # step must name that parameter and leave the weights and Adam as they were
+        model = build_model(read_config(resolve_config_arg("toy-mamba")).model_config(), seed=0)
+        rng = np.random.default_rng(6)
+        batch = [(rng.uniform(0, 1.5, (20, 257)), rng.uniform(0, 1, (20, 257))) for _ in range(2)]
+        opt = AdamState()
+        train_step(model, opt, batch, 1e-3, "mask-mse")
+        named = dict(model.named_parameters())
+        before = {name: p.data.copy() for name, p in named.items()}
+        moments = {name: m.copy() for name, m in opt.m.items()}
+
+        def poisoned_backward(loss):
+            backward(loss)
+            named["blocks.0.core.norm.bias"].grad[3] = np.nan
+
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        with pytest.raises(TrainingAborted, match=r"^non-finite gradient in blocks\.0\.core\.norm\.bias, lr="):
+            train_step(model, opt, batch, 1e-3, "mask-mse")
+        assert opt.t == 1
+        for name, p in named.items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+            np.testing.assert_array_equal(opt.m[name], moments[name], err_msg=name)
+
+
 class TestCheckpointState:
     def test_rng_state_restores_exactly(self, corpus_manifest, tmp_path):
         result = train(toy_config(corpus_manifest, epochs=1), str(tmp_path / "run"))
@@ -441,8 +468,6 @@ class TestCheckpointState:
 @pytest.fixture
 def small_checkpoint(tmp_path):
     """A saved checkpoint of a one-block toy model; returns its directory."""
-    from tfse.model import build_model
-
     rc = toy_config("", epochs=1)
     ckpt = str(tmp_path / "ckpt-0001")
     rng_state = np.random.default_rng(0).bit_generator.state
