@@ -18,10 +18,12 @@ floor 1 rescaled. A final floor at the dtype's smallest positive normal
 guards exp(-m_t) underflow; 0/0 cannot occur.
 
 mlstm_cell_step is one step of that recurrence built from graph primitives and
-is the reference. mlstm_scan is the engine the models use: one graph node that
-runs the recurrence chunkwise-parallel (the parallel mLSTM form of Beck et
-al., xLSTM, arXiv 2405.04517, in the chunked layout of TFLA, arXiv
-2503.14376). Frames are cut into fixed chunks of CHUNK frames from t = 0.
+is the reference. mlstm_scan runs it on q, k and v as one graph node,
+chunkwise-parallel (the parallel mLSTM form of Beck et al., xLSTM, arXiv
+2405.04517, in the chunked layout of TFLA, arXiv 2503.14376). The models run
+the same chunk loops in mlstm_branch, which projects q, k and v a chunk at a
+time and rebuilds them for its backward (Chen et al., arXiv 1604.06174).
+Frames are cut into fixed chunks of CHUNK frames from t = 0.
 Within a chunk, with b the cumulative sum of the forget pre-activations and
 (C, n, m) the state carried in from the previous chunk, h_t reads the
 log-weights b_t - b_j + i_j of frames j <= t and b_t + m of the carried state;
@@ -33,8 +35,8 @@ is flushed to exactly 0 before the exp: when the forget pre-activations drift
 positive, m climbs (into the hundreds on 40 s of audio) and a chunk's small
 weights would otherwise turn subnormal, which slows every product they enter.
 The backward runs over the chunks in reverse, carrying dC and dn (none out of
-the last chunk or chunk 0) and recomputing each chunk's weights from its
-stored starting state; m is a constant there, since h does not depend on it.
+the last chunk or chunk 0) and recomputing each chunk's terms (the last one's
+weights are kept) from its start; m is a constant there: h does not read it.
 Causal prefixes are bit-exact: the chunk grid is fixed, and frames after t
 enter h_t only through weights that are exactly zero.
 """
@@ -121,13 +123,13 @@ def _chunk_weights(i_raw, f_raw, m_prev, mask):
     return np.exp(log_w, out=log_w), np.exp(carry, out=carry), m
 
 
-def _chunk_terms(q, k, i_raw, f_raw, m_prev, mask, C, n):
-    """The weights W, a, m of one chunk (_chunk_weights) and its readout
-    terms, entered with state (C, n): the scores S = q k^T and P = S * W,
-    the carried-state readouts q C^T and q . n, the normalizer n_t . q_t and
-    the denominator max(|n_t . q_t|, floor). Chunk 0 enters no state: C, n
-    and their readouts are None."""
-    W, a, m = _chunk_weights(i_raw, f_raw, m_prev, mask)
+def _chunk_terms(q, k, weights, C, n):
+    """The readout terms of one chunk with weights (W, a, m) (_chunk_weights),
+    entered with state (C, n): the scores S = q k^T and P = S * W, the
+    carried-state readouts q C^T and q . n, the normalizer n_t . q_t and the
+    denominator max(|n_t . q_t|, floor). Chunk 0 enters no state: C, n and
+    their readouts are None."""
+    W, a, m = weights
     S = q @ k.swapaxes(-1, -2)
     P = S * W
     qC = qn = None
@@ -137,45 +139,41 @@ def _chunk_terms(q, k, i_raw, f_raw, m_prev, mask, C, n):
         dot += a * qn
     with np.errstate(over="ignore"):  # exp(-m) may overflow to inf; then h -> 0, its limit
         floor = np.maximum(np.exp(-m), np.finfo(q.dtype).tiny)
-    return W, a, m, S, P, qC, qn, dot, np.maximum(np.abs(dot), floor)
+    return S, P, qC, qn, dot, np.maximum(np.abs(dot), floor)
 
 
-def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) -> Tensor:
-    """The mlstm_cell_step chain from a zero state as one graph node.
-
-    q, k, v are [H, L, dh] and the gates [H, L]; returns h [H, L, dh]. Same
-    result as the cell chain up to floating-point summation order.
-    """
-    inputs = (q, k, v, i_raw, f_raw)
-    qd, kd, vd, ig, fg = (np.ascontiguousarray(x.data) for x in inputs)
-    H, L, dh = qd.shape
+def _scan(chunk_qkv, ig, fg, h, record):
+    """The chunk loops of mlstm_scan and mlstm_branch: fill h [H, L, dh] from the gates [H, L] and
+    chunk_qkv(sl), the q, k and v [H, K, dh] of frames sl. Return the reverse loop scan_grad(g, q, k, v)
+    -> (dq, dk, dv, di, df) on the whole clip's q, k and v; it reads the chunk starts kept when record."""
+    H, L = ig.shape
     chunks = [slice(s, min(s + CHUNK, L)) for s in range(0, L, CHUNK)]
     mask = np.triu(np.full((min(CHUNK, L),) * 2, -np.inf, dtype=ig.dtype), 1)
-    starts = [] if T.is_recording(inputs) else None  # (C, n, m) entering each chunk
+    starts = [] if record else None  # (C, n, m) entering each chunk
     C = n = None
-    m = np.zeros(H, dtype=qd.dtype)
-    h = np.empty_like(vd)
+    m = np.zeros(H, dtype=h.dtype)
     for sl in chunks:
         if starts is not None:
             starts.append((C, n, m))
-        qc, kc, vc = qd[:, sl], kd[:, sl], vd[:, sl]
-        last = W, a, mc, _, P, qC, _, _, denom = _chunk_terms(qc, kc, ig[:, sl], fg[:, sl], m, mask, C, n)
+        qc, kc, vc = chunk_qkv(sl)
+        W, a, mc = last = _chunk_weights(ig[:, sl], fg[:, sl], m, mask)
+        _, P, qC, _, _, denom = _chunk_terms(qc, kc, last, C, n)
         h[:, sl] = (P @ vc if C is None else P @ vc + a[:, :, None] * qC) / denom[:, :, None]
-        if sl.stop == L:  # the last chunk passes no state on; the backward starts from its terms
+        if sl.stop == L:  # the last chunk passes no state on; the backward starts from its weights
             break
         w, a_end = W[:, -1], a[:, -1]
         C_in, n_in = (vc * w[:, :, None]).swapaxes(-1, -2) @ kc, (w[:, None, :] @ kc)[:, 0]
         C, n = (C_in, n_in) if C is None else (a_end[:, None, None] * C + C_in, a_end[:, None] * n + n_in)
         m = mc[:, -1]
 
-    def grad_fn(g):
+    def scan_grad(g, qd, kd, vd):
         dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
         di, df = np.empty_like(ig), np.empty_like(fg)
         dC = dn = None  # the last chunk passes no state on
         for sl, (C0, n0, m0) in zip(reversed(chunks), reversed(starts)):
             qc, kc, vc, gc = qd[:, sl], kd[:, sl], vd[:, sl], g[:, sl]
-            terms = last if dC is None else _chunk_terms(qc, kc, ig[:, sl], fg[:, sl], m0, mask, C0, n0)
-            W, a, mc, S, P, qC, qn, dot, denom = terms
+            W, a, _ = weights = last if dC is None else _chunk_weights(ig[:, sl], fg[:, sl], m0, mask)
+            S, P, qC, qn, dot, denom = _chunk_terms(qc, kc, weights, C0, n0)
             d_num = gc / denom[:, :, None]
             # h = num / max(|dot|, floor); the floor is inactive where denom == |dot|,
             # and ties go to |dot| as in T.maximum
@@ -206,36 +204,76 @@ def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) ->
                 dC_in, dn_in = ad_num.swapaxes(-1, -2) @ qc, (ad_dot[:, None, :] @ qc)[:, 0]
                 dC, dn = (dC_in, dn_in) if dC is None else (a_end[:, None, None] * dC + dC_in, a_end[:, None] * dn + dn_in)
             df[:, sl] = np.cumsum(db[:, ::-1], axis=-1)[:, ::-1]
-        for x, dx in zip(inputs, (dq, dk, dv, di, df)):
+        return dq, dk, dv, di, df
+
+    return scan_grad
+
+
+def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) -> Tensor:
+    """The mlstm_cell_step chain from a zero state as one graph node.
+
+    q, k, v are [H, L, dh] and the gates [H, L]; returns h [H, L, dh]. Same
+    result as the cell chain up to floating-point summation order.
+    """
+    inputs = (q, k, v, i_raw, f_raw)
+    qd, kd, vd, ig, fg = (np.ascontiguousarray(x.data) for x in inputs)
+    h = np.empty_like(vd)
+    scan_grad = _scan(lambda sl: (qd[:, sl], kd[:, sl], vd[:, sl]), ig, fg, h, T.is_recording(inputs))
+
+    def grad_fn(g):
+        for x, dx in zip(inputs, scan_grad(g, qd, kd, vd)):
             x._accumulate(dx, owned=True)
 
     return T._make(h, inputs, grad_fn, "mlstm_scan")
 
 
-def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
+def project_heads(x: np.ndarray, w: np.ndarray, heads: int) -> np.ndarray:
     """Block-diagonal map of x [..., L, d_inner] by w [n_blocks, bs, bs] into
-    the scan's heads-first [N * H, L, d_head] (clips folded into heads), one
-    node: a batched matmul from a strided view of x into one of the output.
-    The backward first moves g's heads ahead of its clips, so that a block's
-    N * L rows are evenly spaced, then forms dx and dw with one matmul a block."""
-    xd, wd = np.ascontiguousarray(x.data), w.data
-    (nb, bs, _), L = wd.shape, xd.shape[-2]
-    J, N = nb // heads, xd.size // (L * nb * bs)
-    w_blocks = wd.reshape(heads, J, 1, bs, bs)
-    out = np.empty((N * heads, L, J * bs), dtype=np.result_type(xd, wd))
-    np.matmul(xd.reshape(N, L, heads, J, bs).transpose(2, 3, 0, 1, 4), w_blocks,  # [H, J, N, L, bs]
+    the scan's heads-first [N * H, L, d_head] (clips folded into heads): a
+    batched matmul from a strided view of x into one of the output."""
+    (nb, bs, _), L = w.shape, x.shape[-2]
+    J, N = nb // heads, x.size // (L * nb * bs)
+    out = np.empty((N * heads, L, J * bs), dtype=np.result_type(x, w))
+    np.matmul(x.reshape(N, L, heads, J, bs).transpose(2, 3, 0, 1, 4), w.reshape(heads, J, 1, bs, bs),  # [H, J, N, L, bs]
               out=out.reshape(N, heads, L, J, bs).transpose(1, 3, 0, 2, 4))
+    return out
+
+
+def project_qkv(x: np.ndarray, ws, heads: int, k_scale) -> tuple[np.ndarray, ...]:
+    """q, k and v of frames x by the block weights ws = (wq, wk, wv), k scaled."""
+    q, k, v = (project_heads(x, w, heads) for w in ws)
+    k *= k_scale
+    return q, k, v
+
+
+def mlstm_branch(xc: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, i_raw: Tensor, f_raw: Tensor, heads: int) -> Tensor:
+    """mlstm_scan of the gates [N * H, L] and of q, k and v, the block maps of the conv output
+    xc [..., L, d_inner] (project_heads), k scaled by d_head^-1/2, as one node. The forward projects
+    a chunk at a time, so no whole-clip q, k or v exists; the backward rebuilds them once by the
+    same ops and maps dq, dk and dv back through the projection."""
+    inputs = (xc, wq, wk, wv, i_raw, f_raw)
+    xd, ig, fg = (np.ascontiguousarray(x.data) for x in (xc, i_raw, f_raw))
+    (nb, bs, _), (L, d_inner), ws = wq.shape, xd.shape[-2:], (wq.data, wk.data, wv.data)
+    J, N = nb // heads, xd.size // (L * d_inner)
+    h = np.empty((N * heads, L, d_inner // heads), dtype=np.result_type(xd, *ws))
+    k_scale = np.asarray(h.shape[-1] ** -0.5, dtype=h.dtype)  # as T.mul casts a constant: in the operands' dtype
+    scan_grad = _scan(lambda sl: project_qkv(xd[..., sl, :], ws, heads, k_scale), ig, fg, h, T.is_recording(inputs))
 
     def grad_fn(g):
-        g = np.ascontiguousarray(g.reshape(N, heads, L, -1).swapaxes(0, 1))  # [H, N, L, dh]
-        g_blocks = g.reshape(heads, N * L, J, bs).transpose(0, 2, 1, 3)  # [H, J, N * L, bs]
-        dx = np.empty(xd.shape, dtype=xd.dtype)  # w^T made contiguous: numpy's matmul is slow on the transposed view
-        np.matmul(g_blocks, np.ascontiguousarray(w_blocks[:, :, 0].swapaxes(-1, -2)),
-                  out=dx.reshape(N * L, heads, J, bs).transpose(1, 2, 0, 3))
-        x._accumulate(dx, owned=True)
-        w._accumulate((xd.reshape(N * L, heads, J, bs).transpose(1, 2, 3, 0) @ g_blocks).reshape(wd.shape), owned=True)
+        dq, dk, dv, di, df = scan_grad(g, *project_qkv(xd, ws, heads, k_scale))
+        dk *= k_scale
+        for w, d in zip((wq, wk, wv), (dq, dk, dv)):  # heads ahead of clips: a block's N * L rows evenly spaced
+            d = np.ascontiguousarray(d.reshape(N, heads, L, -1).swapaxes(0, 1))  # [H, N, L, dh]
+            d = d.reshape(heads, N * L, J, bs).transpose(0, 2, 1, 3)  # [H, J, N * L, bs]
+            dx = np.empty(xd.shape, dtype=xd.dtype)  # w^T made contiguous: numpy's matmul is slow on the transposed view
+            np.matmul(d, np.ascontiguousarray(w.data.reshape(heads, J, bs, bs).swapaxes(-1, -2)),
+                      out=dx.reshape(N * L, heads, J, bs).transpose(1, 2, 0, 3))
+            xc._accumulate(dx, owned=True)
+            w._accumulate((xd.reshape(N * L, heads, J, bs).transpose(1, 2, 3, 0) @ d).reshape(w.shape), owned=True)
+        i_raw._accumulate(di, owned=True)
+        f_raw._accumulate(df, owned=True)
 
-    return T._make(out, (x, w), grad_fn, "project_heads")
+    return T._make(h, inputs, grad_fn, "mlstm_branch")
 
 
 class MLSTMCore(Module):
@@ -244,13 +282,13 @@ class MLSTMCore(Module):
     Pipeline: norm -> up-projection split into (cell branch, gate branch) ->
     causal depthwise conv + SiLU -> block-diagonal q/k/v (k pre-scaled by
     d_head^-1/2) and dense input/forget gate heads -> chunkwise stabilized
-    scan (mlstm_scan) -> group norm (gain only) -> learnable skip from the
-    conv branch -> SiLU(gate branch) -> down-projection.
+    scan -> group norm (gain only) -> learnable skip from the conv branch ->
+    SiLU(gate branch) -> down-projection.
 
-    q, k and v are each one project_heads node, a batched matmul by block
-    from a strided view of the conv output straight into the scan's
-    heads-first [N * H, L, d_head]. Each head must hold whole blocks, so
-    d_inner must be a multiple of heads x QKV_BLOCK_SIZE (ModelConfig.validate).
+    The q/k/v projection and the scan are one mlstm_branch node: it maps each
+    chunk's rows of the conv output by block (project_heads) straight into the
+    scan's heads-first [N * H, L, d_head]. Each head must hold whole blocks,
+    so d_inner must be a multiple of heads x QKV_BLOCK_SIZE (ModelConfig.validate).
 
     The scan's output is laid out d-major (feature d * heads + head), and
     the norm takes groups of d_head consecutive features, so each group
@@ -283,14 +321,11 @@ class MLSTMCore(Module):
         xc = T.silu(self.conv(up[..., :di]))
         gate = T.silu(up[..., di:])
         del up  # unrecorded, an array lives only while named: drop each after its last read
-        q = project_heads(xc, self.q_proj.w, H)
-        k = T.mul(project_heads(xc, self.k_proj.w, H), dh ** -0.5)
-        v = project_heads(xc, self.v_proj.w, H)
         gates = (-1, L, H), (0, 2, 1), (-1, L)  # [..., L, H] -> [N * H, L]
         ig = T.rearrange(self.i_gate(xc), *gates)
         fg = T.rearrange(self.f_gate(xc), *gates)
-        h = mlstm_scan(q, k, v, ig, fg)
-        del q, k, v, ig, fg
+        h = mlstm_branch(xc, self.q_proj.w, self.k_proj.w, self.v_proj.w, ig, fg, H)
+        del ig, fg
         # [N * H, L, dh] -> [..., L, d_inner] with features in d-major order (index d * H + head)
         h = T.rearrange(h, (-1, H, L, dh), (0, 2, 3, 1), (*lead, L, di))
         h = T.layer_norm(h, self.out_gain, groups=H)  # per group of d_head consecutive features

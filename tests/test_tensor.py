@@ -14,6 +14,7 @@ from tfse.config import read_config, resolve_config_arg
 from tfse.errors import DimensionError, GraphError
 from tfse.model import build_model
 from tfse.ssm import SEG, selective_scan_par
+from tfse.xlstm import CHUNK, QKV_BLOCK_SIZE, mlstm_branch
 from tfse.tensor import CompGraph, Tensor, backward, grad_check, no_grad
 from tfse.training import clip_loss
 
@@ -491,7 +492,9 @@ TRIMMED_OPS = {
 class TestFusedClosures:
     """A fused op's backward keeps no array it can rebuild: every array its
     closure reaches is an input's or the output's data or a per-row
-    reduction (keepdims over the last axis), except the scan's segment starts."""
+    reduction (keepdims over the last axis), except the scan's segment starts.
+    The mLSTM branch keeps its scan's chunk starts and last-chunk terms, and
+    no whole-clip q, k or v."""
 
     @pytest.mark.parametrize("case", TRIMMED_OPS)
     def test_closure_holds_only_inputs_outputs_and_row_reductions(self, rng, case):
@@ -505,6 +508,21 @@ class TestFusedClosures:
             shared = any(np.shares_memory(arr, t.data) for t in (*inputs, out))
             reduced = arr.ndim > 0 and arr.shape[-1] == 1 and arr.size < out.size
             assert shared or reduced, (name, arr.shape)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "batched"])
+    def test_mlstm_branch_holds_no_whole_clip_q_k_or_v(self, rng, lead):
+        # two chunks, the second 6 frames: only the output is [N * H, L, d_head]
+        heads, L, bs, n = 2, CHUNK + 6, QKV_BLOCK_SIZE, int(np.prod(lead))
+        weights = (t64(rng, 4, bs, bs) for _ in range(3))  # d_head 2 * bs
+        inputs = (t64(rng, *lead, L, 4 * bs), *weights, t64(rng, n * heads, L), t64(rng, n * heads, L))
+        out = mlstm_branch(*inputs, heads)
+        held = list(closure_arrays(out._grad_fn))
+        assert held and out.shape == (n * heads, L, 2 * bs)
+        for name, arr in held:
+            if arr.shape == out.shape:
+                assert np.shares_memory(arr, out.data), name
+            elif name not in ("starts", "last", "mask", "k_scale"):  # the scan's stores, its constants
+                assert any(np.shares_memory(arr, t.data) for t in inputs), (name, arr.shape)
 
 
 class TestLinearAndSilu:

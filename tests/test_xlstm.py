@@ -20,7 +20,7 @@ from tfse.xlstm import (
     mlstm_cell_step,
     mlstm_scan,
 )
-from tfse.tensor import Tensor, grad_check, grad_check_params, no_grad
+from tfse.tensor import CompGraph, Tensor, grad_check, grad_check_params, no_grad
 
 F64 = np.float64
 
@@ -243,6 +243,66 @@ class TestForgetDrift:
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
+def branch_inputs(rng, lead, L, heads=2, d_inner=16, gate_lo=-5, gate_hi=5):
+    """xc [*lead, L, d_inner], the three block weights [d_inner / bs, bs, bs]
+    and the gates [N * heads, L], float64, all requiring grad."""
+    nb, bs, n = d_inner // QKV_BLOCK_SIZE, QKV_BLOCK_SIZE, int(np.prod(lead))
+    arrays = [rng.normal(size=(*lead, L, d_inner))] + [rng.normal(size=(nb, bs, bs)) * 0.5 for _ in range(3)]
+    arrays += [rng.uniform(gate_lo, gate_hi, size=(n * heads, L)) for _ in range(2)]
+    return [Tensor(a, requires_grad=True) for a in arrays]
+
+
+def block_projection(xc, w, heads):
+    """project_heads from graph primitives: block i of w maps features
+    i * bs onward, then heads-first, clips folded into heads."""
+    L, di = xc.shape[-2:]
+    nb, bs, _ = w.shape
+    y = T.matmul(T.rearrange(xc, (-1, L, nb, bs), (2, 0, 1, 3), (nb, -1, bs)), w)  # [nb, N * L, bs]
+    return T.rearrange(y, (heads, nb // heads, -1, L, bs), (2, 0, 3, 1, 4), (-1, L, di // heads))
+
+
+def branch_oracle(xc, wq, wk, wv, i_raw, f_raw, heads):
+    """mlstm_branch composed: the three block projections, k scaled, then the cell chain."""
+    q, k, v = (block_projection(xc, w, heads) for w in (wq, wk, wv))
+    return cell_scan(q, T.mul(k, q.shape[-1] ** -0.5), v, i_raw, f_raw)
+
+
+class TestBranch:
+    """mlstm_branch, the models' projection and scan in one node, against
+    the projection built from graph primitives followed by the cell chain."""
+
+    @pytest.mark.parametrize("L", [1, CHUNK, 2 * CHUNK + 5])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "batched"])
+    def test_matches_projection_then_cell_chain(self, rng, lead, L):
+        args = branch_inputs(rng, lead, L)
+        w = Tensor(rng.normal(size=(args[-1].shape[0], L, 8)))
+        results = []
+        for f in (xlstm.mlstm_branch, branch_oracle):
+            for a in args:
+                a.zero_grad()
+            h = f(*args, 2)
+            T.backward(T.sum_(T.mul(h, w)))
+            results.append([h.data] + [a.grad for a in args])
+        # the first forget gate only scales the zero entry state: exactly 0, rounding in the chain
+        results[1][-1][:, 0] = 0.0
+        (got, *grads), (want, *grads_want) = results
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        for got, want in zip(grads, grads_want):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("which", range(4), ids=["xc", "wq", "wk", "wv"])
+    def test_gradients_match_finite_differences(self, rng, which):
+        L = 2 * CHUNK + 5
+        args = branch_inputs(rng, (), L, d_inner=8, gate_lo=-2, gate_hi=2)  # d_head 4: one block a head
+        w = Tensor(rng.normal(size=(2, L, 4)))
+        # grad_check perturbs args[which] in place, so f reads it from args; a weight
+        # enters every frame, and the central difference's h^2 error is 3e-6 at h = 1e-5
+        def f(_x):
+            return T.sum_(T.mul(xlstm.mlstm_branch(*args, 2), w))
+
+        assert grad_check(f, args[which], h=1e-6) < 1e-6
+
+
 class TestMLSTMCore:
     @pytest.fixture
     def core(self):
@@ -270,23 +330,33 @@ class TestMLSTMCore:
         with pytest.raises(ConfigError, match=r"^heads: d_inner 24 not a multiple of 4 heads x block size 4$"):
             ModelConfig(backbone="xlstm", d_model=24, heads=4, proj_factor=1.0).validate()
 
-    @pytest.mark.parametrize("shape", [(7, 12), (2, 7, 12)], ids=["2d", "3d"])
+    # two chunks: the branch forms q/k/v a chunk at a time in its forward and
+    # rebuilds the whole clip's once in its backward
+    @pytest.mark.parametrize("shape", [(CHUNK + 7, 12), (2, CHUNK + 7, 12)], ids=["2d", "3d"])
     def test_block_i_maps_features_i_times_block_size_onward(self, rng, shape, monkeypatch):
         core = MLSTMCore(12, np.random.default_rng(3), F64, heads=3, proj_factor=2.0)  # d_head 8: 2 blocks a head
         H, dh, di, bs = core.heads, core.d_head, core.d_inner, QKV_BLOCK_SIZE
-        scanned = []
+        formed = []
+        project_qkv = xlstm.project_qkv
 
-        def recorded(q, k, v, ig, fg):
-            scanned.append((q.data, k.data, v.data))
-            return mlstm_scan(q, k, v, ig, fg)
+        def recorded(*args):
+            formed.append(project_qkv(*args))
+            return formed[-1]
 
-        monkeypatch.setattr(xlstm, "mlstm_scan", recorded)
+        monkeypatch.setattr(xlstm, "project_qkv", recorded)
         x = Tensor(rng.normal(size=shape))
+        L = shape[-2]
         with no_grad():
             core(x)
             xc = T.silu(core.conv(core.up_proj(core.norm(x))[..., :di])).data
-        L = shape[-2]
-        for proj, got, scale in zip((core.q_proj, core.k_proj, core.v_proj), scanned[0], (1.0, dh ** -0.5, 1.0)):
+        assert [q.shape[1] for q, _, _ in formed] == [CHUNK, 7]
+        formed.clear()
+        T.backward(T.sum_(core(x)))
+        assert [q.shape[1] for q, _, _ in formed] == [CHUNK, 7, L]
+        chunked = [np.concatenate(parts, axis=1) for parts in zip(*formed[:2])]
+        for proj, got, rebuilt, scale in zip(
+            (core.q_proj, core.k_proj, core.v_proj), chunked, formed[2], (1.0, dh ** -0.5, 1.0)
+        ):
             want = np.empty_like(xc)
             for i in range(di // bs):  # one block at a time on its own run of features
                 cols = slice(i * bs, (i + 1) * bs)
@@ -294,16 +364,23 @@ class TestMLSTMCore:
             # heads-first, clips folded into heads: [..., L, H * dh] -> [N * H, L, dh]
             want = want.reshape(-1, L, H, dh).transpose(0, 2, 1, 3).reshape(-1, L, dh)
             np.testing.assert_allclose(got, want, rtol=1e-12)
+            np.testing.assert_array_equal(rebuilt, got)
 
-    def test_projection_is_one_graph_node(self, rng):
+    def test_branch_is_one_graph_node(self, rng):
         core = MLSTMCore(12, np.random.default_rng(4), F64, heads=3, proj_factor=2.0)
-        xc = Tensor(rng.normal(size=(2, 5, core.d_inner)), requires_grad=True)
-        q = xlstm.project_heads(xc, core.q_proj.w, core.heads)
-        assert q.shape == (2 * core.heads, 5, core.d_head)
-        assert q.op == "project_heads" and q._parents == (xc, core.q_proj.w)
+        args = branch_inputs(rng, (2,), 5, heads=core.heads, d_inner=core.d_inner)
+        h = xlstm.mlstm_branch(*args, core.heads)
+        assert h.shape == (2 * core.heads, 5, core.d_head)
+        assert h.op == "mlstm_branch" and h._parents == tuple(args)
         with no_grad():
-            q = xlstm.project_heads(xc, core.q_proj.w, core.heads)
-        assert q._parents == () and q._grad_fn is None and not q.requires_grad
+            h = xlstm.mlstm_branch(*args, core.heads)
+        assert h._parents == () and h._grad_fn is None and not h.requires_grad
+        # in the core, the branch reads the conv output and the three block weights
+        ops = [n for n in CompGraph(core(Tensor(rng.normal(size=(2, 5, 12))))).order if n.op != "leaf"]
+        (branch,) = [n for n in ops if n.op == "mlstm_branch"]
+        assert branch._parents[0].op == "silu"
+        assert branch._parents[1:4] == (core.q_proj.w, core.k_proj.w, core.v_proj.w)
+        assert not any(n.op in ("mlstm_scan", "project_heads") for n in ops)
 
     # d_head 8 (two blocks a head) in both; the second has a batch axis of 2 and 3 heads
     @pytest.mark.parametrize("d_model,heads,shape", [(8, 2, (5, 8)), (12, 3, (2, 5, 12))], ids=["2d", "3d"])
