@@ -31,10 +31,10 @@ from .config import (
     shipped_config_names,
 )
 from .errors import ConfigError, DataError, TfseError
-from .model import CONFIG_FILE, build_model, count_params, enhance, load_model, param_count_str, save_model
+from .model import CONFIG_FILE, WINDOW, build_model, count_params, enhance, load_model, param_count_str, save_model
 from .ssm import selective_scan_par, selective_scan_seq
 from .tensor import Tensor, no_grad
-from .xlstm import CHUNK, MLSTMState, mlstm_cell_step, mlstm_scan
+from .xlstm import CHUNK, QKV_BLOCK_SIZE, MLSTMState, mlstm_branch, mlstm_cell_step
 
 BENCH_LOCK = os.path.join(tempfile.gettempdir(), "tfse-bench.lock")
 
@@ -80,15 +80,17 @@ def _check_scan_equivalence() -> tuple[bool, str]:
 def _check_chunked_mlstm() -> tuple[bool, str]:
     rng = np.random.default_rng(3)
     H, dh, L = 2, 4, 2 * CHUNK + 7  # crosses two chunk boundaries
-    q, k, v = (rng.normal(size=(H, L, dh)) for _ in range(3))
+    x = rng.normal(size=(L, H * dh))
     ig, fg = (rng.uniform(-5, 5, size=(H, L)) for _ in range(2))
+    eye = Tensor(np.tile(np.eye(QKV_BLOCK_SIZE), (H * dh // QKV_BLOCK_SIZE, 1, 1)))  # block weights
+    q = x.reshape(L, H, dh, 1).swapaxes(0, 1)  # [H, L, dh, 1]: q and v of identity blocks, k = q / sqrt(dh)
     with no_grad():
-        got = mlstm_scan(Tensor(q), Tensor(k), Tensor(v), Tensor(ig), Tensor(fg)).data
+        got = mlstm_branch(Tensor(x), eye, eye, eye, Tensor(ig), Tensor(fg), H).data
         state = MLSTMState.zeros(H, dh, np.float64)
         want = np.empty_like(got)
         for t in range(L):
             state, h = mlstm_cell_step(
-                state, Tensor(q[:, t, :, None]), Tensor(k[:, t, :, None]), Tensor(v[:, t, :, None]),
+                state, Tensor(q[:, t]), Tensor(q[:, t] * dh**-0.5), Tensor(q[:, t]),
                 Tensor(ig[:, t, None, None]), Tensor(fg[:, t, None, None]),
             )
             want[:, t] = h.data[:, :, 0]
@@ -217,6 +219,20 @@ def _check_checkpoint_load() -> tuple[bool, str]:
     return True, f"{len(BACKBONES)} backbones load back with identical bits and forward outputs"
 
 
+def _check_windowed_enhance() -> tuple[bool, str]:
+    L = 2 * WINDOW + 5  # two windows, the second taking the 5-frame remainder
+    w = dsp.Waveform(np.random.default_rng(14).uniform(-0.5, 0.5, L * dsp.HOP - 100))
+    spec = dsp.stft(w)
+    for preset in ("toy-mamba", "toy-xlstm"):
+        model = build_model(read_config(resolve_config_arg(preset)).model_config())
+        with no_grad():
+            mask = model(spec.magnitude.astype(model.dtype)).data.astype(np.float64)
+        whole = dsp.istft(dsp.apply_mask(spec, dsp.Mask(mask)), len(w))
+        if enhance(model, w).samples.tobytes() != whole.samples.tobytes():
+            return False, f"{preset}: windowed enhance of {L} frames differs from the whole-clip composition"
+    return True, f"toy-mamba and toy-xlstm over {L} frames give the whole-clip composition's bytes"
+
+
 def _check_negative_control() -> tuple[bool, str]:
     """Feed the gradient checker an op whose backward is deliberately wrong.
     The checker must flag it; this check is expected to FAIL, proving the
@@ -244,6 +260,7 @@ _CHECKS = [
     ("archive-roundtrip-bit-exact", _check_archive_roundtrip),
     ("deterministic-build", _check_deterministic_build),
     ("checkpoint-load-matches-build", _check_checkpoint_load),
+    ("windowed-enhance-matches-whole-clip", _check_windowed_enhance),
 ]
 
 

@@ -206,20 +206,22 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def stft(w: Waveform) -> Spectrogram:
-    """Analyze a 16 kHz waveform into [frames, 257] complex bins.
+def stft(w: Waveform, start: int = 0, stop: int | None = None) -> Spectrogram:
+    """Analyze a 16 kHz waveform into [frames, 257] complex bins: the frames
+    [start, stop) of its grid, by default all of them.
 
     The tail is zero-padded to the frame grid, so every sample including a
-    final partial frame is covered.
+    final partial frame is covered. num_samples counts the samples the
+    frames read, from start * HOP.
     """
     if w.sample_rate != SAMPLE_RATE:
         raise SampleRateError(f"stft requires {SAMPLE_RATE} Hz input, got {w.sample_rate}")
-    n = len(w)
-    L = num_frames(n)
-    padded = np.zeros((L - 1) * HOP + FRAME_LEN, dtype=np.float64)
-    padded[:n] = w.samples
+    stop = num_frames(len(w)) if stop is None else stop
+    padded = np.zeros((stop - start - 1) * HOP + FRAME_LEN, dtype=np.float64)
+    part = w.samples[start * HOP:(stop - 1) * HOP + FRAME_LEN]
+    padded[:len(part)] = part
     frames = frame_grid(padded, FRAME_LEN, HOP) * _WIN[None, :]
-    return Spectrogram(np.fft.rfft(frames, axis=1), num_samples=n)
+    return Spectrogram(np.fft.rfft(frames, axis=1), num_samples=len(part))
 
 
 def istft(spec: Spectrogram, num_samples: int | None = None) -> Waveform:

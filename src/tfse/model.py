@@ -20,10 +20,10 @@ from . import pe as PE
 from . import tensor as T
 from .archive import load_tensors, save_tensors
 from .attention import ConformerBlock, TransformerBlock
-from .config import ModelConfig, RunConfig, read_config, write_config
+from .config import CAUSAL_ONLY, ModelConfig, RunConfig, read_config, write_config
 from .dsp import N_BINS
 from .errors import DegenerateInputError, DimensionError, FormatError, NumericError
-from .module import Bidirectional, LayerNorm, Linear, Module, Residual
+from .module import Bidirectional, LayerNorm, Linear, Module, Residual, carrying
 from .ssm import MambaCore
 from .tensor import Tensor
 from .xlstm import CBiXLSTMBlock, MLSTMCore
@@ -104,21 +104,41 @@ def param_count_str(n: int) -> str:
     return f"{n / 1e6:.2f}M ({n:,})"
 
 
+WINDOW = 512  # frames per window of a carried-state enhance; a multiple of xlstm.CHUNK, ssm.SEG and 256
+
+
 def enhance(model: EnhancementModel, noisy: dsp.Waveform) -> dsp.Waveform:
     """Run the full pipeline: analyze, mask, resynthesize at input length.
-    The STFT runs again for the mask, so no spectrum is held through the forward.
+
+    A mamba or xlstm model (causal, every block carrying its state) runs in
+    windows of frames that start at multiples of WINDOW, the last also taking
+    the under-WINDOW remainder, so a window holds WINDOW to 2 * WINDOW - 1
+    frames; any other model, or a clip under 2 * WINDOW frames, is one window.
+    Each window runs STFT, model, mask and ISTFT on its own arrays under
+    module.carrying and is overlap-added into the output, so memory stays
+    bounded and the output is the whole clip's, bit for bit: the grid lies on
+    the scans' segment and chunk grids, and OpenBLAS gives a GEMM's rows the
+    whole clip's bits at 512 rows or more (not below, in the xLSTM gates).
     A frame too loud for the model's dtype raises DegenerateInputError."""
-    mag = dsp.stft(noisy).magnitude
-    # the input norm's variance sums squared magnitudes; half the maximum leaves room for float32 rounding
-    if np.einsum("lf,lf->l", mag, mag).max() > np.finfo(model.dtype).max / 2:
-        raise DegenerateInputError(
-            f"input level out of range: a frame's squared magnitudes sum past half the {model.dtype} maximum")
-    mag = mag.astype(model.dtype)  # rebound: the float64 spectrum is not held through the forward
-    with T.no_grad():
-        mask = model(mag)
-    del mag
-    masked = dsp.apply_mask(dsp.stft(noisy), dsp.Mask(mask.data.astype(np.float64)))
-    return dsp.istft(masked, len(noisy))
+    L = dsp.num_frames(len(noisy))
+    count = max(1, L // WINDOW) if model.cfg.backbone in CAUSAL_ONLY else 1  # mamba, xlstm
+    edges = [i * WINDOW for i in range(count)] + [L]
+    out = np.zeros(len(noisy))
+    with carrying():
+        for s, e in zip(edges, edges[1:]):
+            spec = dsp.stft(noisy, s, e)
+            mag = spec.magnitude
+            # the input norm's variance sums squared magnitudes; half the maximum leaves room for float32 rounding
+            if np.einsum("lf,lf->l", mag, mag).max() > np.finfo(model.dtype).max / 2:
+                raise DegenerateInputError(
+                    f"input level out of range: a frame's squared magnitudes sum past half the {model.dtype} maximum")
+            mag = mag.astype(model.dtype)  # rebound: the float64 magnitude is not held through the forward
+            spec.values *= model(mag).data.astype(np.float64)  # the mask, in place
+            del mag
+            y = dsp.istft(spec).samples
+            del spec
+            out[s * dsp.HOP:s * dsp.HOP + len(y)] += y  # two frames overlap a sample, so the order of the sum is free
+    return dsp.Waveform(out)
 
 
 MODEL_ARCHIVE = "model.tensors"

@@ -11,6 +11,8 @@ them, for a caller that fills every parameter itself (a checkpoint load).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from . import tensor as T
@@ -42,6 +44,28 @@ class Module:
 
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters())
+
+
+_carry: dict | None = None  # inside carrying(): module -> its carried() slot
+
+
+@contextlib.contextmanager
+def carrying():
+    """Feed one clip as consecutive windows, one unrecorded call each: every causal conv,
+    MambaCore and MLSTMCore continues from the state it left in its carried() slot."""
+    global _carry
+    prev, _carry = _carry, {}
+    try:
+        with T.no_grad():
+            yield
+    finally:
+        _carry = prev
+
+
+def carried(module: Module) -> list | None:
+    """module's slot inside carrying(), else None: a list, empty before its first call, holding
+    the state its last call left, for the next call to read and replace."""
+    return None if _carry is None else _carry.setdefault(module, [])
 
 
 def _uniform(rng: np.random.Generator | None, shape, fan_in: int, dtype) -> Tensor:
@@ -81,7 +105,11 @@ class DepthwiseConv1d(Module):
         self.causal = causal
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.depthwise_conv1d(x, self.kernel, self.b, causal=self.causal)
+        slot = carried(self) if self.causal else None  # x, of L >= k - 1 frames, continues the last window
+        y = T.depthwise_conv1d(x, self.kernel, self.b, self.causal, slot[0] if slot else None)
+        if slot is not None:  # the last k - 1 frames pad the next window
+            slot[:] = [x.data[..., x.shape[-2] - self.kernel.shape[0] + 1:, :].copy()]
+        return y
 
 
 class BlockDiagonal(Module):

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .module import DepthwiseConv1d, LayerNorm, Linear, Module
+from .module import DepthwiseConv1d, LayerNorm, Linear, Module, carried
 from .tensor import Tensor
 
 SEG = 16  # frames per segment whose entering state the fused scan keeps for its backward; from t = 0
@@ -90,17 +90,18 @@ def _operands(u, delta, A, B, C):
     return ud, dt, Bd, Cd, At, advance
 
 
-def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
+def selective_scan_par(u, delta, A, B, C, D, state: list | None = None) -> Tensor:
     """Fused engine: one graph node with an analytic reverse-scan backward.
     Same contract (leading batch axes included) and result as the
-    sequential one up to floating-point summation order."""
+    sequential one up to floating-point summation order. A carry slot
+    (module.carried) starts the scan from the h it holds, if any, and takes its final h."""
     inputs = (u, delta, A, B, C, D)
     ud, dt, Bd, Cd, At, advance = _operands(u, delta, A, B, C)
     L, shape = len(ud), (ud.shape[1],) + At.shape
     starts = np.empty((-(-L // SEG),) + shape, dtype=ud.dtype) if T.is_recording(inputs) else None
     y = np.empty_like(ud)
     C_t, y_t = Cd[:, :, None, :], y[:, :, None, :]
-    h, a, du = np.zeros(shape, dtype=ud.dtype), np.empty(shape, dtype=ud.dtype), np.empty_like(ud[:SEG])
+    h, a, du = state[0] if state else np.zeros(shape, dtype=ud.dtype), np.empty(shape, dtype=ud.dtype), np.empty_like(ud[:SEG])
     for t0 in range(0, L, SEG):  # delta u, then the D u skip, formed one segment at a time in one buffer
         n = min(SEG, L - t0)
         if starts is not None:
@@ -110,6 +111,8 @@ def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
             advance(h, t, du[t - t0], a, h)
             np.matmul(C_t[t], h, out=y_t[t])
         y[t0:t0 + n] += np.multiply(ud[t0:t0 + n], D.data, out=du[:n])
+    if state is not None:
+        state[:] = [h]
 
     def grad_fn(g):
         g = _time_major(g)
@@ -143,12 +146,10 @@ def selective_scan_par(u, delta, A, B, C, D) -> Tensor:
                 np.matmul(B_row[t], dh, out=d_du_t[t])
                 np.matmul(dh, du[j, :, :, None], out=dB_t[t])
                 np.matmul(hseg[j], g_col[t], out=dC_t[t])
-                dh *= aseg[j]  # carry to t-1
-                if t:
-                    d_pre = np.multiply(dh, hseg[j - 1] if j else starts[s], out=tmp)
-                    np.einsum("nji,ji->ni", d_pre, At, out=d_delta[t])
-                    dA_sum += np.einsum("ni,nji->ji", dt[t], d_pre)
-        d_delta[0] = 0.0  # h_{-1} = 0
+                dh *= aseg[j]  # carry to t-1; h_{-1} is the scan's start, zeros unless carried in
+                d_pre = np.multiply(dh, hseg[j - 1] if j else starts[s], out=tmp)
+                np.einsum("nji,ji->ni", d_pre, At, out=d_delta[t])
+                dA_sum += np.einsum("ni,nji->ji", dt[t], d_pre)
         d_delta += d_du * ud
         d_du *= dt
         d_du += g * D.data
@@ -201,6 +202,6 @@ class MambaCore(Module):
         B = dbc[..., dr:dr + ds]
         C = dbc[..., dr + ds:]
         A = T.neg(T.exp(self.A_log))
-        y = selective_scan_par(u, delta, A, B, C, self.D)
+        y = selective_scan_par(u, delta, A, B, C, self.D, state=carried(self))
         del u, dbc, delta, B, C
         return self.out_proj(T.mul(y, gate))

@@ -589,10 +589,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor | None = None, groups: int 
     return _make(out, (x, gain) if bias is None else (x, gain, bias), grad_fn, "layer_norm")
 
 
-def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool = False) -> Tensor:
+def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, causal: bool = False,
+                     past: np.ndarray | None = None) -> Tensor:
     """Per-channel, length-preserving 1-D convolution over frames: kernel
     [k, C] filters channel c of x [..., L, C] with its own k taps. Causal
-    pads k-1 frames on the left only; otherwise (k-1)//2 left, k//2 right."""
+    pads k-1 frames on the left only, the frames past [..., k-1, C] before
+    x if given, else zeros; otherwise (k-1)//2 left, k//2 right."""
     if x.ndim < 2 or kernel.ndim != 2:
         raise DimensionError(f"depthwise_conv1d expects x [..., L, C], kernel [k, C]; got {x.shape}, {kernel.shape}")
     k, c = kernel.shape
@@ -601,9 +603,15 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
     L = x.shape[-2]
     lo = k - 1 if causal else (k - 1) // 2
     kd, shape = kernel.data, (*x.shape[:-2], L + k - 1, c)
-    xp = np.zeros(shape, dtype=x.dtype)  # zero-padded frames, np.pad's bits at half its cost
-    xp[..., lo:lo + L, :] = x.data
-    out = np.einsum("...kcl,kc->...lc", np.lib.stride_tricks.sliding_window_view(xp, L, axis=-2), kd)
+
+    def padded():
+        xp = np.zeros(shape, dtype=x.dtype)  # zero-padded frames, np.pad's bits at half its cost
+        xp[..., lo:lo + L, :] = x.data
+        if past is not None:
+            xp[..., :lo, :] = past
+        return xp
+
+    out = np.einsum("...kcl,kc->...lc", np.lib.stride_tricks.sliding_window_view(padded(), L, axis=-2), kd)
     if bias is not None:
         out += bias.data
 
@@ -615,8 +623,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, caus
                 gp[..., j:j + L, :] += np.multiply(g, kd[j], out=term)
             x._accumulate(gp[..., lo:lo + L, :])
         if kernel.requires_grad:  # one einsum over the k sliding windows of the input, padded again
-            xp = np.zeros(shape, dtype=x.dtype)
-            xp[..., lo:lo + L, :] = x.data
+            xp = padded()
             windows = np.lib.stride_tricks.sliding_window_view(xp.reshape(-1, *xp.shape[-2:]), L, axis=1)
             kernel._accumulate(np.einsum("bkcl,blc->kc", windows, g.reshape(-1, L, c)), owned=True)
         if bias is not None:

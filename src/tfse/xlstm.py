@@ -18,19 +18,19 @@ floor 1 rescaled. A final floor at the dtype's smallest positive normal
 guards exp(-m_t) underflow; 0/0 cannot occur.
 
 mlstm_cell_step is one step of that recurrence built from graph primitives and
-is the reference. mlstm_scan runs it on q, k and v as one graph node,
+is the reference. mlstm_branch runs it as one graph node from the conv output,
 chunkwise-parallel (the parallel mLSTM form of Beck et al., xLSTM, arXiv
-2405.04517, in the chunked layout of TFLA, arXiv 2503.14376). The models run
-the same chunk loops in mlstm_branch, which projects q, k and v a chunk at a
-time and rebuilds them for its backward (Chen et al., arXiv 1604.06174).
-Frames are cut into fixed chunks of CHUNK frames from t = 0.
+2405.04517, in the chunked layout of TFLA, arXiv 2503.14376): it projects q, k
+and v a chunk at a time and rebuilds them for its backward (Chen et al., arXiv
+1604.06174). Frames are cut into fixed chunks of CHUNK frames from t = 0.
 Within a chunk, with b the cumulative sum of the forget pre-activations and
 (C, n, m) the state carried in from the previous chunk, h_t reads the
 log-weights b_t - b_j + i_j of frames j <= t and b_t + m of the carried state;
 their max is the cell's m_t, so the readout is three matrix products
 (Q K^T * W) V, Q C^T and Q n, each stabilized by the same exp(-m_t). The state
 at the chunk's end is carried on: chunk 0 enters none, so it skips Q C^T and
-Q n, and the last chunk passes none on. A weight below tiny / eps of the dtype
+Q n, and the last chunk passes none on, except in the windows of a clip
+(module.carrying), which carry it on. A weight below tiny / eps of the dtype
 is flushed to exactly 0 before the exp: when the forget pre-activations drift
 positive, m climbs (into the hundreds on 40 s of audio) and a chunk's small
 weights would otherwise turn subnormal, which slows every product they enter.
@@ -49,11 +49,11 @@ import numpy as np
 
 from . import tensor as T
 from .config import QKV_BLOCK_SIZE
-from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module, Residual
+from .module import BlockDiagonal, DepthwiseConv1d, LayerNorm, Linear, Module, Residual, carried
 from .tensor import Tensor
 
 CONV_WIDTH = 4
-CHUNK = 64  # frames per chunk of mlstm_scan; the grid starts at t = 0
+CHUNK = 64  # frames per chunk of the mLSTM scan; the grid starts at t = 0
 
 
 @dataclass
@@ -142,16 +142,16 @@ def _chunk_terms(q, k, weights, C, n):
     return S, P, qC, qn, dot, np.maximum(np.abs(dot), floor)
 
 
-def _scan(chunk_qkv, ig, fg, h, record):
-    """The chunk loops of mlstm_scan and mlstm_branch: fill h [H, L, dh] from the gates [H, L] and
-    chunk_qkv(sl), the q, k and v [H, K, dh] of frames sl. Return the reverse loop scan_grad(g, q, k, v)
-    -> (dq, dk, dv, di, df) on the whole clip's q, k and v; it reads the chunk starts kept when record."""
+def _scan(chunk_qkv, ig, fg, h, record, state=None):
+    """The chunk loops of mlstm_branch: fill h [H, L, dh] from the gates [H, L] and chunk_qkv(sl), the
+    q, k and v [H, K, dh] of frames sl, from the (C, n, m) a carry slot (module.carried) holds, if any,
+    leaving the last chunk's end state in it. Return the reverse loop scan_grad(g, q, k, v) -> (dq, dk,
+    dv, di, df) on the whole clip's q, k and v; it reads the chunk starts kept when record."""
     H, L = ig.shape
     chunks = [slice(s, min(s + CHUNK, L)) for s in range(0, L, CHUNK)]
     mask = np.triu(np.full((min(CHUNK, L),) * 2, -np.inf, dtype=ig.dtype), 1)
     starts = [] if record else None  # (C, n, m) entering each chunk
-    C = n = None
-    m = np.zeros(H, dtype=h.dtype)
+    C, n, m = state if state else (None, None, np.zeros(H, dtype=h.dtype))
     for sl in chunks:
         if starts is not None:
             starts.append((C, n, m))
@@ -159,12 +159,14 @@ def _scan(chunk_qkv, ig, fg, h, record):
         W, a, mc = last = _chunk_weights(ig[:, sl], fg[:, sl], m, mask)
         _, P, qC, _, _, denom = _chunk_terms(qc, kc, last, C, n)
         h[:, sl] = (P @ vc if C is None else P @ vc + a[:, :, None] * qC) / denom[:, :, None]
-        if sl.stop == L:  # the last chunk passes no state on; the backward starts from its weights
+        if sl.stop == L and state is None:  # the last chunk passes no state on; the backward starts from its weights
             break
         w, a_end = W[:, -1], a[:, -1]
         C_in, n_in = (vc * w[:, :, None]).swapaxes(-1, -2) @ kc, (w[:, None, :] @ kc)[:, 0]
         C, n = (C_in, n_in) if C is None else (a_end[:, None, None] * C + C_in, a_end[:, None] * n + n_in)
         m = mc[:, -1]
+    if state is not None:
+        state[:] = C, n, m
 
     def scan_grad(g, qd, kd, vd):
         dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
@@ -209,24 +211,6 @@ def _scan(chunk_qkv, ig, fg, h, record):
     return scan_grad
 
 
-def mlstm_scan(q: Tensor, k: Tensor, v: Tensor, i_raw: Tensor, f_raw: Tensor) -> Tensor:
-    """The mlstm_cell_step chain from a zero state as one graph node.
-
-    q, k, v are [H, L, dh] and the gates [H, L]; returns h [H, L, dh]. Same
-    result as the cell chain up to floating-point summation order.
-    """
-    inputs = (q, k, v, i_raw, f_raw)
-    qd, kd, vd, ig, fg = (np.ascontiguousarray(x.data) for x in inputs)
-    h = np.empty_like(vd)
-    scan_grad = _scan(lambda sl: (qd[:, sl], kd[:, sl], vd[:, sl]), ig, fg, h, T.is_recording(inputs))
-
-    def grad_fn(g):
-        for x, dx in zip(inputs, scan_grad(g, qd, kd, vd)):
-            x._accumulate(dx, owned=True)
-
-    return T._make(h, inputs, grad_fn, "mlstm_scan")
-
-
 def project_heads(x: np.ndarray, w: np.ndarray, heads: int) -> np.ndarray:
     """Block-diagonal map of x [..., L, d_inner] by w [n_blocks, bs, bs] into
     the scan's heads-first [N * H, L, d_head] (clips folded into heads): a
@@ -246,18 +230,19 @@ def project_qkv(x: np.ndarray, ws, heads: int, k_scale) -> tuple[np.ndarray, ...
     return q, k, v
 
 
-def mlstm_branch(xc: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, i_raw: Tensor, f_raw: Tensor, heads: int) -> Tensor:
-    """mlstm_scan of the gates [N * H, L] and of q, k and v, the block maps of the conv output
-    xc [..., L, d_inner] (project_heads), k scaled by d_head^-1/2, as one node. The forward projects
-    a chunk at a time, so no whole-clip q, k or v exists; the backward rebuilds them once by the
-    same ops and maps dq, dk and dv back through the projection."""
+def mlstm_branch(xc: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, i_raw: Tensor, f_raw: Tensor, heads: int,
+                 state: list | None = None) -> Tensor:
+    """The mlstm_cell_step chain up to summation order, h [N * H, L, dh], on the gates [N * H, L] and on
+    q, k and v, the block maps of the conv output xc [..., L, d_inner] (project_heads), k scaled by
+    d_head^-1/2, as one node, from a zero state or a carry slot's (_scan). The forward projects a chunk at
+    a time; the backward rebuilds the whole clip's q, k and v once and maps dq, dk and dv back."""
     inputs = (xc, wq, wk, wv, i_raw, f_raw)
     xd, ig, fg = (np.ascontiguousarray(x.data) for x in (xc, i_raw, f_raw))
     (nb, bs, _), (L, d_inner), ws = wq.shape, xd.shape[-2:], (wq.data, wk.data, wv.data)
     J, N = nb // heads, xd.size // (L * d_inner)
     h = np.empty((N * heads, L, d_inner // heads), dtype=np.result_type(xd, *ws))
     k_scale = np.asarray(h.shape[-1] ** -0.5, dtype=h.dtype)  # as T.mul casts a constant: in the operands' dtype
-    scan_grad = _scan(lambda sl: project_qkv(xd[..., sl, :], ws, heads, k_scale), ig, fg, h, T.is_recording(inputs))
+    scan_grad = _scan(lambda sl: project_qkv(xd[..., sl, :], ws, heads, k_scale), ig, fg, h, T.is_recording(inputs), state)
 
     def grad_fn(g):
         dq, dk, dv, di, df = scan_grad(g, *project_qkv(xd, ws, heads, k_scale))
@@ -324,7 +309,7 @@ class MLSTMCore(Module):
         gates = (-1, L, H), (0, 2, 1), (-1, L)  # [..., L, H] -> [N * H, L]
         ig = T.rearrange(self.i_gate(xc), *gates)
         fg = T.rearrange(self.f_gate(xc), *gates)
-        h = mlstm_branch(xc, self.q_proj.w, self.k_proj.w, self.v_proj.w, ig, fg, H)
+        h = mlstm_branch(xc, self.q_proj.w, self.k_proj.w, self.v_proj.w, ig, fg, H, carried(self))
         del ig, fg
         # [N * H, L, dh] -> [..., L, d_inner] with features in d-major order (index d * H + head)
         h = T.rearrange(h, (-1, H, L, dh), (0, 2, 3, 1), (*lead, L, di))

@@ -11,6 +11,7 @@ from tfse import dsp
 from tfse.config import NONCAUSAL_ONLY, RunConfig, read_config, resolve_config_arg
 from tfse.errors import ConfigError, DimensionError, NumericError
 from tfse.model import (
+    WINDOW,
     build_model,
     count_params,
     enhance,
@@ -352,7 +353,7 @@ class TestWaveformPipeline:
 
     @pytest.mark.parametrize("preset", ["toy-mamba", "toy-xlstm", "toy-conformer"])
     def test_enhance_is_the_held_spectrum_composition(self, rng, preset):
-        # enhance runs the STFT twice instead of holding the spectrum; the bits must not notice
+        # enhance analyzes and resynthesizes each window itself; the bits must not notice
         model = build_model(preset_config(preset).model_config())
         w = dsp.Waveform(rng.uniform(-0.5, 0.5, 9000))
         spec = dsp.stft(w)
@@ -361,16 +362,41 @@ class TestWaveformPipeline:
         want = dsp.istft(dsp.apply_mask(spec, dsp.Mask(mask)), len(w))
         assert enhance(model, w).samples.tobytes() == want.samples.tobytes()
 
-    @pytest.mark.parametrize("preset", ["mamba-7", "xlstm-7"])
-    def test_long_clip_peak_holds_only_live_arrays(self, rng, preset):
-        # one 40 s clip: a spectrum, in-projection output or scan inputs held
-        # past their last read would add 10-15 MB each to a peak of about 37 MB
+    @pytest.mark.parametrize("frames", [3 * WINDOW + 100, 2 * WINDOW + 5], ids=["3-windows", "remainder"])
+    @pytest.mark.parametrize("preset", ["toy-mamba", "toy-xlstm", "mamba-7", "xlstm-7"])
+    def test_windowed_enhance_is_the_whole_clip_composition(self, rng, preset, frames):
+        # 3 windows, the last of 612 frames; or 2, the last taking the 5 frames past 2 * WINDOW
         model = build_model(preset_config(preset).model_config())
-        w = dsp.Waveform(rng.uniform(-0.5, 0.5, 40 * dsp.SAMPLE_RATE))
+        w = dsp.Waveform(rng.uniform(-0.5, 0.5, frames * dsp.HOP - 100))
+        spec = dsp.stft(w)
+        assert spec.values.shape[0] == frames
+        with no_grad():
+            mask = model(spec.magnitude.astype(model.dtype)).data.astype(np.float64)
+        want = dsp.istft(dsp.apply_mask(spec, dsp.Mask(mask)), len(w))
+        assert enhance(model, w).samples.tobytes() == want.samples.tobytes()
+
+    @staticmethod
+    def _peak(model, seconds, rng):
+        """enhance's tracemalloc peak on a clip of `seconds`, and its output's bytes."""
+        w = dsp.Waveform(rng.uniform(-0.5, 0.5, seconds * dsp.SAMPLE_RATE))
         tracemalloc.start()
         try:
-            enhance(model, w)
+            out = enhance(model, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 42e6
+        return peak, out.samples.nbytes
+
+    @pytest.mark.parametrize("preset", ["mamba-7", "xlstm-7"])
+    def test_long_clip_peak_holds_only_live_arrays(self, rng, preset):
+        # one 40 s clip in windows of at most 964 frames peaks near 24 MB, 5.1 MB
+        # of it the output; a whole-clip spectrum would add 10 MB
+        model = build_model(preset_config(preset).model_config())
+        assert self._peak(model, 40, rng)[0] <= 29e6
+
+    @pytest.mark.parametrize("preset", ["mamba-7", "xlstm-7"])
+    def test_peak_past_the_output_does_not_grow_with_the_clip(self, rng, preset):
+        # a 2-min clip holds only more windows' worth of output than a 40 s one
+        model = build_model(preset_config(preset).model_config())
+        (short, short_out), (long, long_out) = (self._peak(model, s, rng) for s in (40, 120))
+        assert long - long_out <= 1.15 * (short - short_out)

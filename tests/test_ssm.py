@@ -137,6 +137,27 @@ class TestScanEquivalence:
         # grad_check perturbs args[which] in place, so f reads it from args
         assert grad_check(lambda _x: T.sum_(T.mul(selective_scan_par(*args), w)), args[which]) < 1e-7
 
+    @pytest.mark.parametrize("which", range(6), ids=["u", "delta", "A", "B", "C", "D"])
+    def test_fused_gradients_from_a_carried_state_match_finite_differences(self, rng, which):
+        args = random_scan_inputs(rng, 40)
+        w = Tensor(rng.normal(size=(40, 6)))
+        h0 = rng.normal(size=(1, 5, 6))  # [clips, d_state, d_inner]; the scan advances it in place
+        args[which].requires_grad = True
+        loss = lambda _x: T.sum_(T.mul(selective_scan_par(*args, state=[h0.copy()]), w))
+        assert grad_check(loss, args[which]) < 1e-7
+
+    @pytest.mark.parametrize("cut", [2 * SEG, 2 * SEG + 5])
+    def test_halves_with_a_carry_give_the_whole_scan_bit_for_bit(self, rng, cut):
+        # the second half starts from the h the first half ends in
+        u, delta, A, B, C, D = random_scan_inputs(rng, 5 * SEG + 3)
+        slot = []
+        with no_grad():
+            whole = selective_scan_par(u, delta, A, B, C, D).data
+            halves = [selective_scan_par(Tensor(u.data[sl]), Tensor(delta.data[sl]), A, Tensor(B.data[sl]),
+                                         Tensor(C.data[sl]), D, state=slot).data
+                      for sl in (slice(0, cut), slice(cut, None))]
+        assert np.concatenate(halves).tobytes() == whole.tobytes()
+
     def test_fused_backward_leaves_its_saved_state_intact(self, rng):
         # the backward rebuilds its operands from the inputs and reads its
         # kept segment starts, so it must leave both as the forward did
@@ -215,15 +236,15 @@ class TestMambaCore:
         x = Tensor(rng.normal(size=(12, 16)).astype(F64))
         calls = []
 
-        def sequential(*args):
-            calls.append(len(args))
+        def sequential(*args, state=None):  # the carry slot, None outside module.carrying
+            calls.append((len(args), state))
             return selective_scan_seq(*args)
 
         with no_grad():
             fused = core(x).data
             monkeypatch.setattr(ssm, "selective_scan_par", sequential)
             np.testing.assert_allclose(fused, core(x).data, rtol=1e-10, atol=1e-12)
-        assert calls == [6]  # the core ran the sequential scan once
+        assert calls == [(6, None)]  # the core ran the sequential scan once, on six inputs and no carry
 
     def test_causal_prefix_is_bit_exact(self, core, rng):
         x = rng.normal(size=(12, 16)).astype(F64)

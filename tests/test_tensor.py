@@ -13,6 +13,7 @@ from tfse import tensor as T
 from tfse.config import read_config, resolve_config_arg
 from tfse.errors import DimensionError, GraphError
 from tfse.model import build_model
+from tfse.module import DepthwiseConv1d, carrying
 from tfse.ssm import SEG, selective_scan_par
 from tfse.xlstm import CHUNK, QKV_BLOCK_SIZE, mlstm_branch
 from tfse.tensor import CompGraph, Tensor, backward, grad_check, no_grad
@@ -377,6 +378,25 @@ class TestFusedNormAndConv:
         want = ref_depthwise_conv1d(x, kernel, bias, causal=causal).data
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "3d"])
+    def test_causal_conv_halves_with_a_carry_give_the_whole_conv_bit_for_bit(self, rng, k, lead):
+        # inside carrying(), the second window is padded with the first one's last k - 1 frames
+        conv = DepthwiseConv1d(6, k, rng, F64, causal=True)
+        x = rng.normal(size=(*lead, 20, 6))
+        with carrying():
+            whole = conv(Tensor(x)).data
+        with carrying():
+            halves = [conv(Tensor(x[..., sl, :])).data for sl in (slice(0, 7), slice(7, None))]
+        assert np.concatenate(halves, axis=-2).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("which", ["x", "kernel"])
+    def test_causal_conv_gradients_past_a_carried_window_match_finite_differences(self, rng, which):
+        x, kernel, past = t64(rng, 6, 3), t64(rng, 4, 3), rng.normal(size=(3, 3))
+        w = Tensor(rng.normal(size=(6, 3)))
+        loss = lambda _t: T.sum_(T.mul(T.depthwise_conv1d(x, kernel, causal=True, past=past), w))
+        assert grad_check(loss, x if which == "x" else kernel) < 1e-7
 
     @pytest.mark.parametrize("dtype", [np.float32, F64])
     @pytest.mark.parametrize("shape", [(63, 256), (2, 63, 512), (2, 63, 256), (1, 2500, 512), (3, 7, 16), (2, 1, 8)])

@@ -18,7 +18,6 @@ from tfse.xlstm import (
     MLSTMCore,
     MLSTMState,
     mlstm_cell_step,
-    mlstm_scan,
 )
 from tfse.tensor import CompGraph, Tensor, grad_check, grad_check_params, no_grad
 
@@ -142,12 +141,27 @@ def cell_scan(q, k, v, i_raw, f_raw):
     return T.concat(rows, axis=1)
 
 
+def chunked_scan(q, k, v, i_raw, f_raw, state=None):
+    """xlstm._scan on whole-clip q, k and v [H, L, dh] as one graph node, h [H, L, dh]: the chunk
+    loops of mlstm_branch without its projection; state is a carry slot (module.carried)."""
+    inputs = (q, k, v, i_raw, f_raw)
+    qd, kd, vd, ig, fg = (np.ascontiguousarray(x.data) for x in inputs)
+    h = np.empty_like(vd)
+    scan_grad = xlstm._scan(lambda sl: (qd[:, sl], kd[:, sl], vd[:, sl]), ig, fg, h, T.is_recording(inputs), state)
+
+    def grad_fn(g):
+        for x, dx in zip(inputs, scan_grad(g, qd, kd, vd)):
+            x._accumulate(dx, owned=True)
+
+    return T._make(h, inputs, grad_fn, "chunked_scan")
+
+
 class TestChunkedScan:
     @pytest.mark.parametrize("L", [1, CHUNK - 1, CHUNK, CHUNK + 1, 200])
     def test_matches_cell_chain(self, rng, L):
         args = scan_inputs(rng, L)
         with no_grad():
-            got = mlstm_scan(*args).data
+            got = chunked_scan(*args).data
             want = cell_scan(*args).data
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
@@ -155,7 +169,7 @@ class TestChunkedScan:
     def test_extreme_gates_stay_finite(self, rng, dtype, gate):
         args = scan_inputs(rng, 2 * CHUNK + 5, -gate, gate, dtype=dtype)
         with no_grad():
-            h = mlstm_scan(*args).data
+            h = chunked_scan(*args).data
         assert h.dtype == dtype and np.all(np.isfinite(h))
 
     @pytest.mark.parametrize("which", range(5))
@@ -163,7 +177,7 @@ class TestChunkedScan:
         args = scan_inputs(rng, 2 * CHUNK + 5, -2, 2, dh=2)
         w = Tensor(rng.normal(size=args[0].shape))
         # grad_check perturbs args[which] in place, so f reads it from args
-        assert grad_check(lambda _x: T.sum_(T.mul(mlstm_scan(*args), w)), args[which]) < 1e-7
+        assert grad_check(lambda _x: T.sum_(T.mul(chunked_scan(*args), w)), args[which]) < 1e-7
 
     # one chunk that is both the first and the last, a full one, and a first
     # chunk that carries its state into a one-frame last chunk
@@ -172,7 +186,7 @@ class TestChunkedScan:
         args = scan_inputs(rng, L)
         w = Tensor(rng.normal(size=args[0].shape))
         grads = []
-        for scan in (mlstm_scan, cell_scan):
+        for scan in (chunked_scan, cell_scan):
             for a in args:
                 a.zero_grad()
             T.backward(T.sum_(T.mul(scan(*args), w)))
@@ -185,13 +199,13 @@ class TestChunkedScan:
 
     def test_is_one_graph_node(self, rng):
         args = scan_inputs(rng, CHUNK + 3)
-        h = mlstm_scan(*args)
-        assert h.op == "mlstm_scan" and h._parents == tuple(args)
+        h = chunked_scan(*args)
+        assert h.op == "chunked_scan" and h._parents == tuple(args)
 
     def test_under_no_grad_has_no_parents(self, rng):
         args = scan_inputs(rng, CHUNK + 3)
         with no_grad():
-            h = mlstm_scan(*args)
+            h = chunked_scan(*args)
         assert h._parents == () and h._grad_fn is None and not h.requires_grad
 
     @pytest.mark.parametrize("cut", [2 * CHUNK, 2 * CHUNK + 12], ids=["later-chunk", "same-chunk"])
@@ -204,10 +218,21 @@ class TestChunkedScan:
         for a in changed:
             a[:, cut:] += rng.normal(size=a[:, cut:].shape)
         with no_grad():
-            h1 = mlstm_scan(*map(Tensor, args)).data
-            h2 = mlstm_scan(*map(Tensor, changed)).data
+            h1 = chunked_scan(*map(Tensor, args)).data
+            h2 = chunked_scan(*map(Tensor, changed)).data
         np.testing.assert_array_equal(h1[:, :cut], h2[:, :cut])
         assert np.abs(h1[:, cut:] - h2[:, cut:]).max() > 0.0
+
+    @pytest.mark.parametrize("cut", [CHUNK, 2 * CHUNK])
+    def test_halves_with_a_carry_give_the_whole_scan_bit_for_bit(self, rng, cut):
+        # the second half enters the (C, n, m) the first half's last chunk formed
+        args = [a.data for a in scan_inputs(rng, 3 * CHUNK + 5)]
+        slot = []
+        with no_grad():
+            whole = chunked_scan(*map(Tensor, args)).data
+            halves = [chunked_scan(*(Tensor(a[:, sl]) for a in args), state=slot).data
+                      for sl in (slice(0, cut), slice(cut, None))]
+        assert np.concatenate(halves, axis=1).tobytes() == whole.tobytes()
 
 
 class TestForgetDrift:
@@ -237,7 +262,7 @@ class TestForgetDrift:
 
         monkeypatch.setattr(xlstm, "_chunk_weights", recorded)
         with no_grad():
-            got = mlstm_scan(*args).data
+            got = chunked_scan(*args).data
             want = cell_scan(*args).data
         assert subnormal == [0] * 12
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
@@ -380,7 +405,7 @@ class TestMLSTMCore:
         (branch,) = [n for n in ops if n.op == "mlstm_branch"]
         assert branch._parents[0].op == "silu"
         assert branch._parents[1:4] == (core.q_proj.w, core.k_proj.w, core.v_proj.w)
-        assert not any(n.op in ("mlstm_scan", "project_heads") for n in ops)
+        assert not any(n.op == "project_heads" for n in ops)
 
     # d_head 8 (two blocks a head) in both; the second has a batch axis of 2 and 3 heads
     @pytest.mark.parametrize("d_model,heads,shape", [(8, 2, (5, 8)), (12, 3, (2, 5, 12))], ids=["2d", "3d"])
