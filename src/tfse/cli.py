@@ -31,7 +31,7 @@ from .config import (
     shipped_config_names,
 )
 from .errors import ConfigError, DataError, TfseError
-from .model import CONFIG_FILE, WINDOW, build_model, count_params, enhance, load_model, param_count_str, save_model
+from .model import WINDOW, EnhancementModel, build_model, count_params, enhance, load_model, param_count_str, save_model
 from .ssm import selective_scan_par, selective_scan_seq
 from .tensor import Tensor, no_grad
 from .xlstm import CHUNK, QKV_BLOCK_SIZE, MLSTMState, mlstm_branch, mlstm_cell_step
@@ -328,8 +328,7 @@ def _cmd_enhance(args) -> int:
 def _cmd_params(args) -> int:
     rc = read_config(resolve_config_arg(args.config))
     mc = rc.model_config()
-    model = build_model(mc, seed=rc.seed)
-    print(f"{mc.name}: {param_count_str(count_params(model))}")
+    print(f"{mc.name}: {param_count_str(count_params(EnhancementModel(mc, None)))}")  # a skeleton: no weight drawn
     return 0
 
 
@@ -348,13 +347,8 @@ def _cmd_bench(args) -> int:
 
     from .evalbench import measure_rtf, measure_train_step
 
-    if args.config is None and args.checkpoint is None:
-        raise ConfigError("bench: pass --config or --checkpoint")
-    if args.config is not None and args.checkpoint is not None:  # building from --config would ignore it
-        raise ConfigError("bench: pass --config or --checkpoint, not both")
-    if args.config is None and args.train_steps:  # measure_train_step builds afresh from the config's seed
-        cfg = os.path.join(args.checkpoint, CONFIG_FILE)
-        raise ConfigError(f"bench: --train-steps times a fresh build, not the checkpoint's weights; use --config {cfg}")
+    if args.assert_trends and len(args.lengths) < 2:
+        raise ConfigError("bench: --assert-trends needs at least two lengths")
     if args.config is not None:
         rc = read_config(resolve_config_arg(args.config))
         model = build_model(rc.model_config(), seed=rc.seed)
@@ -368,16 +362,16 @@ def _cmd_bench(args) -> int:
         except (BlockingIOError, PermissionError):
             print("bench: another benchmark holds the lock; try again later", file=sys.stderr)
             return 2
+        results = [measure_rtf(model, L, runs=args.runs, warmup=args.warmup) for L in args.lengths]
         sps = ""
-        if args.train_steps:
-            sps = repr(measure_train_step(rc, steps=args.train_steps, warmup=2))
-        results = [measure_rtf(model, L, batch=args.batch, runs=args.runs, warmup=args.warmup) for L in args.lengths]
+        if args.train_steps:  # last, because Adam updates the model's weights
+            sps = repr(measure_train_step(model, rc.train_config(), steps=args.train_steps, warmup=2))
     finally:
         lock.close()
 
     model_cols = f"{model.cfg.name},{count_params(model)},{str(model.cfg.causal).lower()}"
-    rows = ["model,params,causal,length_s,batch,runs,rtf,rtf_cv,sec_per_step"] + [
-        f"{model_cols},{r.length_s:g},{r.batch},{r.runs},{r.rtf!r},{r.cv!r},{sps}" for r in results
+    rows = ["model,params,causal,length_s,runs,rtf,rtf_cv,sec_per_step"] + [
+        f"{model_cols},{L:g},{args.runs},{rtf!r},{cv!r},{sps}" for L, (rtf, cv) in zip(args.lengths, results)
     ]
     print("\n".join(rows))
     if args.out:
@@ -386,15 +380,13 @@ def _cmd_bench(args) -> int:
         print(f"wrote {args.out}")
 
     if args.assert_trends:
-        if len(results) < 2:
-            raise ConfigError("bench: --assert-trends needs at least two lengths")
-        first, last = results[0], results[-1]
+        first, last = results[0][0], results[-1][0]
         if rc.backbone in ATTENTION_BACKBONES:
-            ok = last.rtf > first.rtf
-            kind = f"attention cost grows with length (rtf {first.rtf:.4g} -> {last.rtf:.4g})"
+            ok = last > first
+            kind = f"attention cost grows with length (rtf {first:.4g} -> {last:.4g})"
         else:
-            ok = last.rtf < 2.5 * first.rtf
-            kind = f"recurrent cost stays near-flat (rtf {first.rtf:.4g} -> {last.rtf:.4g})"
+            ok = last < 2.5 * first
+            kind = f"recurrent cost stays near-flat (rtf {first:.4g} -> {last:.4g})"
         print(f"{'PASS' if ok else 'FAIL'} {kind}")
         if not ok:
             return 1
@@ -471,13 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(fn=_cmd_params)
 
     b = sub.add_parser("bench", help="measure real-time factor and training throughput")
-    b.add_argument("--config", help="config file path or shipped config name")
-    b.add_argument("--checkpoint", help="checkpoint directory (alternative to --config)")
+    model_arg = b.add_mutually_exclusive_group(required=True)
+    model_arg.add_argument("--config", help="config file path or shipped config name (a seeded build)")
+    model_arg.add_argument("--checkpoint", help="checkpoint directory (its trained weights)")
     b.add_argument("--lengths", type=_seconds_list, default="1,2,4", help="comma-separated clip lengths in seconds")
-    b.add_argument("--batch", type=_positive, default=4)
-    b.add_argument("--runs", type=_positive, default=20)
+    b.add_argument("--runs", type=_positive, default=20, help="timed enhance calls per length")
     b.add_argument("--warmup", type=_non_negative, default=3)
-    b.add_argument("--train-steps", type=_non_negative, default=0, help="also time N optimizer steps (needs --config)")
+    b.add_argument("--train-steps", type=_non_negative, default=0, help="then time N optimizer steps of the same model")
     b.add_argument("--out", help="write results CSV here")
     b.add_argument("--assert-trends", action="store_true", help="fail if cost scaling looks wrong")
     b.set_defaults(fn=_cmd_bench)

@@ -14,10 +14,10 @@ downsample by 8.
 ESTOI frames and overlap-adds with dsp.frame_grid and dsp.overlap_add, the
 same grid and summation order as the STFT.
 
-Throughput: measure_rtf times `enhance`, the whole waveform path (STFT ->
-mask -> ISTFT), against audio duration; measure_train_step times whole
-optimizer steps on pre-generated synthetic batches. `tfse bench` calls
-both directly and writes their CSV rows itself.
+Throughput: both timers take a model. measure_rtf times one `enhance` call
+(STFT -> mask -> ISTFT) per run against audio duration; measure_train_step
+times whole optimizer steps on pre-generated synthetic batches, updating
+the weights. `tfse bench` times one model with both, the steps last.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, training
-from .config import RunConfig, read_text, text_lines
+from .config import TrainConfig, read_text, text_lines
 from .dsp import N_BINS
 from .errors import DataError, LengthError, SampleRateError
-from .model import EnhancementModel, build_model, enhance, load_model
+from .model import EnhancementModel, enhance, load_model
 
 ESTOI_SR = 10000
 _FRAME = 256
@@ -153,58 +153,40 @@ def estoi(clean: dsp.Waveform, processed: dsp.Waveform) -> float:
 # ---- throughput -------------------------------------------------------------
 
 
-@dataclass
-class RTFResult:
-    length_s: float
-    rtf: float
-    cv: float  # std / mean across runs
-    runs: int
-    batch: int
+def measure_rtf(model: EnhancementModel, length_s: float, runs: int = 20, warmup: int = 3) -> tuple[float, float]:
+    """Real-time factor and its coefficient of variation (std / mean across
+    runs): seconds of `enhance` (STFT -> mask -> ISTFT) per second of audio.
 
-
-def measure_rtf(
-    model: EnhancementModel,
-    length_s: float,
-    batch: int = 4,
-    runs: int = 20,
-    warmup: int = 3,
-) -> RTFResult:
-    """Real-time factor: seconds of `enhance` (STFT -> mask -> ISTFT) per
-    second of audio.
-
-    Each run enhances `batch` independent uniform-noise clips of length_s,
+    Each run is one `enhance` call on one uniform-noise clip of length_s,
     timed with time.perf_counter; the first `warmup` runs are discarded.
     """
-    rng = np.random.default_rng(0)
     n = int(round(length_s * dsp.SAMPLE_RATE))
-    waves = [dsp.Waveform(rng.uniform(-0.5, 0.5, n)) for _ in range(batch)]
+    wave = dsp.Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, n))
     times = []
     for _ in range(warmup + runs):
         t0 = time.perf_counter()
-        for w in waves:
-            enhance(model, w)
+        enhance(model, wave)
         times.append(time.perf_counter() - t0)
     times_arr = np.asarray(times[warmup:])
     mean = float(times_arr.mean())
     cv = float(times_arr.std() / mean) if mean > 0 else 0.0
-    return RTFResult(length_s, mean / (batch * length_s), cv, runs, batch)
+    return mean / length_s, cv
 
 
 def measure_train_step(
-    run_cfg: RunConfig,
+    model: EnhancementModel,
+    train_cfg: TrainConfig,
     steps: int = 50,
     warmup: int = 5,
     frames: int = 63,
 ) -> float:
-    """Mean seconds per optimizer step (forward + backward + clip + Adam),
-    timed through training.train_step, the step `train` runs.
+    """Mean seconds per optimizer step (forward + backward + clip + Adam) of
+    `model`, timed through training.train_step, the step `train` runs.
+    Adam updates the model in place.
 
     Batches are synthesized up front so data preparation is excluded from
     the timing.
     """
-    model_cfg = run_cfg.model_config()
-    train_cfg = run_cfg.train_config()
-    model = build_model(model_cfg, seed=train_cfg.seed)
     opt = training.AdamState()
     rng = np.random.default_rng(0)
     batches = []
@@ -219,7 +201,7 @@ def measure_train_step(
         batches.append(batch)
 
     def step(k: int) -> None:
-        lr = training.lr_at(opt.t + 1, train_cfg.step_w, model_cfg.d_model)
+        lr = training.lr_at(opt.t + 1, train_cfg.step_w, model.cfg.d_model)
         training.train_step(model, opt, batches[k % len(batches)], lr, train_cfg.loss)
 
     for k in range(warmup):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from tfse import cli
-from tfse.config import read_config
+from tfse.config import read_config, resolve_config_arg, shipped_config_names
 from tfse.dsp import Waveform, read_wav, write_wav
-from tfse.model import build_model, count_params, save_model
+from tfse.model import build_model, count_params, load_model, param_count_str, save_model
 from tfse.synth import tonal_speech
 
 
@@ -170,6 +170,13 @@ class TestParams:
         out = capsys.readouterr().out.strip()
         assert out == "transformer-4: 3.29M (3,291,651)"
 
+    @pytest.mark.parametrize("name", shipped_config_names())
+    def test_count_equals_the_seeded_build(self, name, capsys):
+        assert cli.main(["params", "--config", name]) == 0
+        rc = read_config(resolve_config_arg(name))
+        built = build_model(rc.model_config(), seed=rc.seed)
+        assert capsys.readouterr().out == f"{built.cfg.name}: {param_count_str(count_params(built))}\n"
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -184,7 +191,7 @@ class TestVerify:
         assert "FAIL" in out and "negative-control" in out
 
 
-BENCH_HEADER = "model,params,causal,length_s,batch,runs,rtf,rtf_cv,sec_per_step"
+BENCH_HEADER = "model,params,causal,length_s,runs,rtf,rtf_cv,sec_per_step"
 
 
 def _params(cfg_path: str) -> str:
@@ -196,7 +203,7 @@ class TestBench:
         out_csv = str(tmp_path / "bench.csv")
         code = cli.main([
             "bench", "--config", toy_cfg_path, "--lengths", "1,0.5",
-            "--batch", "2", "--runs", "3", "--warmup", "1",
+            "--runs", "3", "--warmup", "1",
             "--train-steps", "2", "--out", out_csv,
         ])
         assert code == 0
@@ -207,24 +214,24 @@ class TestBench:
         params = _params(toy_cfg_path)
         for row, length in zip(rows[1:], ("0.5", "1")):
             cols = row.split(",")
-            assert cols[:6] == ["mamba-1", params, "true", length, "2", "3"]
-            assert all(repr(float(c)) == c for c in cols[6:])  # rtf, rtf_cv, sec_per_step
-            assert float(cols[6]) > 0 and float(cols[8]) > 0
-        assert rows[1].split(",")[8] == rows[2].split(",")[8]  # one step timing for every row
+            assert cols[:5] == ["mamba-1", params, "true", length, "3"]
+            assert all(repr(float(c)) == c for c in cols[5:])  # rtf, rtf_cv, sec_per_step
+            assert float(cols[5]) > 0 and float(cols[7]) > 0
+        assert rows[1].split(",")[7] == rows[2].split(",")[7]  # one step timing for every row
 
     def test_blank_sec_per_step_without_train_steps(self, tmp_path, capsys):
         cfg = tmp_path / "noncausal.cfg"
         cfg.write_text("backbone = transformer\nblocks = 1\ncausal = false\nd_model = 16\nd_ff = 32\nheads = 2\n")
         code = cli.main([
             "bench", "--config", str(cfg), "--lengths", "0.5",
-            "--batch", "1", "--runs", "1", "--warmup", "0",
+            "--runs", "1", "--warmup", "0",
         ])
         assert code == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == BENCH_HEADER and len(rows) == 2
         cols = rows[1].split(",")
-        assert cols[:6] == ["transformer-1", _params(str(cfg)), "false", "0.5", "1", "1"]
-        assert cols[8] == ""
+        assert cols[:5] == ["transformer-1", _params(str(cfg)), "false", "0.5", "1"]
+        assert cols[7] == ""
 
     def test_lock_contention(self, toy_cfg_path, tmp_path, capsys):
         with open(cli.BENCH_LOCK, "w") as holder:
@@ -242,8 +249,8 @@ def _fake_rtf(monkeypatch, rtf_by_length):
     timing anything, so a trend verdict does not hang on this host's load."""
     from tfse import evalbench
 
-    def measure_rtf(model, length_s, batch, runs, warmup):
-        return evalbench.RTFResult(length_s, rtf_by_length[length_s], 0.0, runs, batch)
+    def measure_rtf(model, length_s, runs, warmup):
+        return rtf_by_length[length_s], 0.0
 
     monkeypatch.setattr(evalbench, "measure_rtf", measure_rtf)
 
@@ -266,15 +273,52 @@ class TestBenchTrends:
         assert capsys.readouterr().out.splitlines()[-1] == verdict
 
     def test_one_length_is_a_config_error(self, toy_cfg_path, monkeypatch, capsys):
-        _fake_rtf(monkeypatch, {0.5: 0.01})
-        assert cli.main(["bench", "--config", toy_cfg_path, "--lengths", "0.5", "--assert-trends"]) == 2
-        assert "needs at least two lengths" in capsys.readouterr().err
+        from tfse import evalbench
+
+        def never(*args, **kwargs):
+            raise AssertionError("bench did work before rejecting its flags")
+
+        for module, name in ((cli, "build_model"), (evalbench, "measure_rtf"), (evalbench, "measure_train_step")):
+            monkeypatch.setattr(module, name, never)
+        argv = ["bench", "--config", toy_cfg_path, "--lengths", "0.5", "--train-steps", "1", "--assert-trends"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: bench: --assert-trends needs at least two lengths\n"
 
     def test_checkpoint_row_names_its_model(self, trained_out, toy_cfg_path, monkeypatch, capsys):
         _fake_rtf(monkeypatch, {0.5: 0.01})
         assert cli.main(["bench", "--checkpoint", latest_ckpt(trained_out), "--lengths", "0.5", "--runs", "2"]) == 0
         rows = capsys.readouterr().out.splitlines()
-        assert rows == [BENCH_HEADER, f"mamba-1,{_params(toy_cfg_path)},true,0.5,4,2,0.01,0.0,"]
+        assert rows == [BENCH_HEADER, f"mamba-1,{_params(toy_cfg_path)},true,0.5,2,0.01,0.0,"]
+
+    def test_checkpoint_train_steps_time_its_weights_last(self, trained_out, toy_cfg_path, monkeypatch, capsys):
+        from tfse import evalbench, training
+
+        ckpt = latest_ckpt(trained_out)
+        enhance, train_step = evalbench.enhance, training.train_step
+        events = []  # "enhance", then the first train_step's parameter bytes, then "train_step" per step
+
+        def recording_enhance(model, wave):
+            events.append("enhance")
+            return enhance(model, wave)
+
+        def recording_train_step(model, *args):
+            if "train_step" not in events:
+                events.append({name: p.data.tobytes() for name, p in model.named_parameters()})
+            events.append("train_step")
+            return train_step(model, *args)
+
+        monkeypatch.setattr(evalbench, "enhance", recording_enhance)
+        monkeypatch.setattr(training, "train_step", recording_train_step)
+        argv = ["bench", "--checkpoint", ckpt, "--lengths", "0.5", "--runs", "2", "--warmup", "1", "--train-steps", "2"]
+        assert cli.main(argv) == 0
+
+        header, row = capsys.readouterr().out.splitlines()
+        cols = row.split(",")
+        assert header == BENCH_HEADER and cols[:5] == ["mamba-1", _params(toy_cfg_path), "true", "0.5", "2"]
+        assert float(cols[7]) > 0
+        assert events[:3] == ["enhance"] * (1 + 2) and events[4:] == ["train_step"] * (2 + 2)
+        loaded, _ = load_model(ckpt)
+        assert events[3] == {name: p.data.tobytes() for name, p in loaded.named_parameters()}
 
 
 class TestScore:
@@ -302,7 +346,6 @@ BAD_NUMERIC_ARGS = {
     "lengths-not-a-number": ["bench", "--lengths", "1,zebra"],
     "lengths-negative": ["bench", "--lengths=-1"],
     "lengths-infinite": ["bench", "--lengths", "1,inf"],
-    "batch-0": ["bench", "--lengths", "0.5", "--runs", "1", "--batch", "0"],
     "runs-0": ["bench", "--lengths", "0.5", "--runs", "0"],
     "warmup-negative": ["bench", "--lengths", "0.5", "--runs", "1", "--warmup=-1"],
     "train-steps-negative": ["bench", "--lengths", "0.5", "--runs", "1", "--train-steps=-2"],
@@ -326,30 +369,30 @@ def test_bad_numeric_argument_is_a_usage_error(argv, toy_cfg_path, tmp_path, cap
     assert "argument --" in capsys.readouterr().err
 
 
-# flags that parse but do not go together: a config error (exit 2) before any work
+# bench names exactly one model: a usage error (exit 2) from argparse, before any work
 BAD_FLAG_COMBINATIONS = {
-    "no-model": (["bench", "--lengths", "0.5"], "pass --config or --checkpoint"),
+    "no-model": (["bench", "--lengths", "0.5"], "one of the arguments --config --checkpoint is required"),
     "config-and-checkpoint": (
-        ["bench", "--config", "toy-mamba", "--checkpoint", "{tmp}/ck", "--lengths", "0.5"], "--checkpoint, not both"
-    ),
-    "checkpoint-train-steps": (
-        ["bench", "--checkpoint", "{tmp}/ck", "--train-steps", "2"], "use --config {tmp}/ck/config.cfg"
+        ["bench", "--config", "toy-mamba", "--checkpoint", "{tmp}/ck", "--lengths", "0.5"],
+        "argument --checkpoint: not allowed with argument --config",
     ),
 }
 
 
 @pytest.mark.parametrize("argv, message", BAD_FLAG_COMBINATIONS.values(), ids=BAD_FLAG_COMBINATIONS.keys())
-def test_bad_flag_combination_is_a_config_error(argv, message, tmp_path, capsys):
-    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bench: ") and message.format(tmp=tmp_path) in err
-
-
-def test_removed_include_stft_flag_is_a_usage_error(toy_cfg_path, capsys):
+def test_bad_flag_combination_is_a_usage_error(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["bench", "--config", toy_cfg_path, "--lengths", "0.5", "--include-stft"])
+        cli.main([a.format(tmp=tmp_path) for a in argv])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --include-stft" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--include-stft"], ["--batch", "2"]], ids=["include-stft", "batch"])
+def test_removed_flag_is_a_usage_error(flag, toy_cfg_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--config", toy_cfg_path, "--lengths", "0.5", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # input files with a NUL byte where a path goes: a clean error (exit 2), not a traceback

@@ -13,7 +13,6 @@ from tfse.config import RunConfig
 from tfse.dsp import Waveform, mix_at_snr, write_wav
 from tfse.errors import DataError, FormatError, LengthError, SampleRateError, TfseError
 from tfse.evalbench import (
-    RTFResult,
     estoi,
     external_score,
     measure_rtf,
@@ -22,7 +21,7 @@ from tfse.evalbench import (
     resample_poly,
     score_model,
 )
-from tfse.model import enhance
+from tfse.model import build_model, enhance
 from tfse.synth import filtered_noise, tonal_speech
 
 
@@ -32,8 +31,6 @@ def speechlike(seed=0, duration_s=2.0) -> Waveform:
 
 @pytest.fixture(scope="module")
 def tiny_model():
-    from tfse.model import build_model
-
     cfg = RunConfig(
         backbone="mamba", blocks=1, causal=True,
         d_model=32, d_ff=64, heads=4, d_state=4,
@@ -139,11 +136,9 @@ class TestIntelligibilityScore:
 
 
 class TestTiming:
-    def test_rtf_result_fields(self, tiny_model):
-        r = measure_rtf(tiny_model, 1.0, batch=2, runs=3, warmup=1)
-        assert isinstance(r, RTFResult)
-        assert r.length_s == 1.0 and r.runs == 3 and r.batch == 2
-        assert r.rtf > 0 and np.isfinite(r.cv)
+    def test_rtf_and_cv(self, tiny_model):
+        rtf, cv = measure_rtf(tiny_model, 1.0, runs=3, warmup=1)
+        assert rtf > 0 and np.isfinite(cv) and cv >= 0
 
     def test_rtf_times_enhance_on_every_clip_of_every_run(self, tiny_model, monkeypatch):
         calls = []
@@ -153,17 +148,17 @@ class TestTiming:
             return enhance(model, wave)
 
         monkeypatch.setattr(evalbench, "enhance", counted)
-        r = measure_rtf(tiny_model, 1.0, batch=2, runs=3, warmup=1)
-        assert calls == [16000] * 2 * (1 + 3)
-        assert r.rtf > 0
+        rtf, _ = measure_rtf(tiny_model, 1.0, runs=3, warmup=1)
+        assert calls == [16000] * (1 + 3)
+        assert rtf > 0
 
-    def test_train_step_timer(self, corpus_manifest):
-        cfg = RunConfig(
-            backbone="mamba", blocks=1, causal=True, d_model=32, d_ff=64,
-            heads=4, d_state=4, corpus=corpus_manifest,
-        )
-        sec = measure_train_step(cfg, steps=2, warmup=1, frames=16)
+    def test_train_step_timer_updates_the_model_it_is_given(self):
+        cfg = RunConfig(backbone="mamba", blocks=1, causal=True, d_model=32, d_ff=64, heads=4, d_state=4)
+        model = build_model(cfg.model_config(), seed=cfg.seed)
+        before = [p.data.copy() for p in model.parameters()]
+        sec = measure_train_step(model, cfg.train_config(), steps=2, warmup=1, frames=16)
         assert sec > 0
+        assert any(not np.array_equal(b, p.data) for b, p in zip(before, model.parameters()))
 
 
 class TestEvalManifest:

@@ -1,6 +1,7 @@
 """Selective state-space tests: scan engines against a plain-numpy oracle,
 parallel/sequential agreement, long-input stability, and block semantics."""
 
+import gc
 import time
 import tracemalloc
 
@@ -207,19 +208,27 @@ class TestScanStability:
         assert np.abs(y).max() < 1e3
 
     def test_cost_scales_subquadratically(self, rng):
-        # min-of-3 wall times; a quadratic algorithm would give ratio ~4
-        def time_scan(L):
-            args = random_scan_inputs(rng, L, d_inner=4, d_state=4)
-            best = np.inf
-            for _ in range(3):
-                with no_grad():
-                    t0 = time.perf_counter()
-                    selective_scan_par(*args)
-                    best = min(best, time.perf_counter() - t0)
-            return best
+        # min-of-3 CPU times, the two lengths interleaved and GC off around each
+        # call, so neither descheduling nor a collection lands on one length only;
+        # a quadratic algorithm would give ratio ~4
+        inputs = {L: random_scan_inputs(rng, L, d_inner=4, d_state=4) for L in (1024, 16384, 8192)}
 
-        time_scan(1024)  # warm caches
-        ratio = time_scan(16384) / time_scan(8192)
+        def cpu_time(L):
+            gc.disable()
+            try:
+                with no_grad():
+                    t0 = time.process_time()
+                    selective_scan_par(*inputs[L])
+                    return time.process_time() - t0
+            finally:
+                gc.enable()
+
+        cpu_time(1024)  # warm caches
+        best = {16384: np.inf, 8192: np.inf}
+        for _ in range(3):
+            for L in best:
+                best[L] = min(best[L], cpu_time(L))
+        ratio = best[16384] / best[8192]
         assert ratio < 3.0, f"doubling the length multiplied cost by {ratio:.2f}"
 
 
