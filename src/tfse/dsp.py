@@ -5,6 +5,8 @@ square-root Hann window used for both analysis and synthesis, so the
 overlap-add identity holds exactly away from the first and last half frame.
 Spectrograms are one-sided (257 bins) complex128 arrays of shape
 [frames, bins]; waveform samples are float64 in [-1, 1].
+A Waveform is 16 kHz, 1-d, non-empty and finite from construction, so its
+users take those for granted; framing is half-overlap (frame_grid).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ MAG_FLOOR = 1e-8  # |X| floor inside mask ratios
 
 @dataclass
 class Waveform:
-    """Mono audio: float64 samples plus a sample rate."""
+    """Mono float64 audio at SAMPLE_RATE: the one check of rate, shape, emptiness and finiteness."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
@@ -41,8 +43,10 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise DimensionError(f"waveform must be 1-d, got shape {self.samples.shape}")
-        if self.sample_rate <= 0:
-            raise SampleRateError(f"sample rate must be positive, got {self.sample_rate}")
+        if self.sample_rate != SAMPLE_RATE:
+            raise SampleRateError(f"waveform at {self.sample_rate} Hz; tfse runs at {SAMPLE_RATE} Hz only")
+        if not len(self.samples):
+            raise DegenerateInputError("waveform is empty")
         if not np.all(np.isfinite(self.samples)):
             raise DegenerateInputError("waveform contains non-finite samples")
 
@@ -99,6 +103,7 @@ def read_wav(path: str) -> Waveform:
             chunk shorter than its declared size, or a data chunk that is
             not a whole number of samples.
         SampleRateError: file is not at 16 kHz (no implicit resampling).
+        DegenerateInputError: no samples, or a non-finite one (Waveform).
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -141,7 +146,7 @@ def read_wav(path: str) -> Waveform:
         raise FormatError(f"{path}: unsupported encoding (format tag {tag}, {bits}-bit)")
     if len(data) % (bits // 8):
         raise FormatError(f"{path}: data chunk of {len(data)} bytes is not whole {bits}-bit samples")
-    return Waveform(np.frombuffer(data, dtype=dtype).astype(np.float64) * scale, rate)
+    return Waveform(np.frombuffer(data, dtype=dtype).astype(np.float64) * scale)
 
 
 def write_wav(path: str, w: Waveform, encoding: str = "pcm16") -> None:
@@ -160,7 +165,7 @@ def write_wav(path: str, w: Waveform, encoding: str = "pcm16") -> None:
         payload = w.samples.astype("<f4").tobytes()
     else:
         raise FormatError(f"unknown wav encoding {encoding!r}")
-    fmt = struct.pack("<HHIIHH", tag, 1, w.sample_rate, w.sample_rate * width, width, 8 * width)
+    fmt = struct.pack("<HHIIHH", tag, 1, SAMPLE_RATE, SAMPLE_RATE * width, width, 8 * width)
     if tag == _WAVE_FORMAT_PCM:
         chunks = [(b"fmt ", fmt)]
     else:  # a non-PCM fmt chunk ends in a cbSize field, and a fact chunk gives the sample count
@@ -185,50 +190,48 @@ _WIN = _window()
 
 
 def num_frames(n_samples: int) -> int:
-    """Frames the analysis grid assigns to an n-sample input (>= 1)."""
-    if n_samples <= 0:
-        raise DegenerateInputError("cannot analyze an empty waveform")
-    return max(1, int(np.ceil(n_samples / HOP)))
+    """Frames the analysis grid assigns to an n-sample input (n >= 1, as every Waveform has)."""
+    return -(-n_samples // HOP)
 
 
-def frame_grid(x: np.ndarray, n: int, hop: int) -> np.ndarray:
-    """[frames, n] copy whose row m is x[m * hop:m * hop + n]; needs len(x) >= n."""
-    n_frames = 1 + (len(x) - n) // hop
-    return x[np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]]
+def frame_grid(x: np.ndarray, n: int) -> np.ndarray:
+    """[frames, n] copy whose row m is x[m * n/2:m * n/2 + n]: consecutive pairs of the n/2-sample
+    blocks of x, a remainder under one block dropped; needs an even n and len(x) >= n."""
+    blocks = x[:len(x) - len(x) % (n // 2)].reshape(-1, n // 2)
+    return np.concatenate((blocks[:-1], blocks[1:]), axis=1)
 
 
-def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum [frames, n] rows in order into one float64 signal, row m at m * hop."""
+def overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Sum [frames, n] rows into one float64 signal, row m at m * n/2: every row's first half, then
+    every row's second half. A sample is +0.0 plus at most two terms, so the order gives in-order bits."""
     count, n = frames.shape
-    out = np.zeros((count - 1) * hop + n, dtype=np.float64)
-    for m in range(count):
-        out[m * hop:m * hop + n] += frames[m]
-    return out
+    blocks = np.zeros((count + 1, n // 2), dtype=np.float64)
+    blocks[:-1] += frames[:, :n // 2]
+    blocks[1:] += frames[:, n // 2:]
+    return blocks.ravel()
 
 
 def stft(w: Waveform, start: int = 0, stop: int | None = None) -> Spectrogram:
-    """Analyze a 16 kHz waveform into [frames, 257] complex bins: the frames
+    """Analyze a waveform into [frames, 257] complex bins: the frames
     [start, stop) of its grid, by default all of them.
 
     The tail is zero-padded to the frame grid, so every sample including a
     final partial frame is covered. num_samples counts the samples the
     frames read, from start * HOP.
     """
-    if w.sample_rate != SAMPLE_RATE:
-        raise SampleRateError(f"stft requires {SAMPLE_RATE} Hz input, got {w.sample_rate}")
     stop = num_frames(len(w)) if stop is None else stop
     padded = np.zeros((stop - start - 1) * HOP + FRAME_LEN, dtype=np.float64)
     part = w.samples[start * HOP:(stop - 1) * HOP + FRAME_LEN]
     padded[:len(part)] = part
-    frames = frame_grid(padded, FRAME_LEN, HOP) * _WIN[None, :]
+    frames = frame_grid(padded, FRAME_LEN) * _WIN[None, :]
     return Spectrogram(np.fft.rfft(frames, axis=1), num_samples=len(part))
 
 
 def istft(spec: Spectrogram, num_samples: int | None = None) -> Waveform:
     """Windowed overlap-add synthesis, cropped to num_samples."""
-    out = overlap_add(np.fft.irfft(spec.values, n=FRAME_LEN, axis=1) * _WIN[None, :], HOP)
+    out = overlap_add(np.fft.irfft(spec.values, n=FRAME_LEN, axis=1) * _WIN[None, :])
     n = spec.num_samples if num_samples is None else num_samples
-    return Waveform(out[:n], SAMPLE_RATE)
+    return Waveform(out[:n])
 
 
 # ---- masks -------------------------------------------------------------------
@@ -276,16 +279,7 @@ def mix_at_snr(
     Returns:
         (mixture, scaled_noise) so callers can reuse the exact noise term.
     """
-    if speech.sample_rate != noise.sample_rate:
-        raise SampleRateError(
-            f"speech at {speech.sample_rate} Hz but noise at {noise.sample_rate} Hz"
-        )
-    n = len(speech)
-    if n == 0:
-        raise DegenerateInputError("cannot mix an empty speech clip")
-    d = noise.samples
-    if len(d) == 0:
-        raise DegenerateInputError("cannot mix an empty noise clip")
+    n, d = len(speech), noise.samples
     if len(d) < n:
         d = np.tile(d, int(np.ceil(n / len(d))))
     offset = int(rng.integers(0, len(d) - n + 1))
@@ -298,7 +292,7 @@ def mix_at_snr(
         raise DegenerateInputError("noise segment is all zeros; SNR undefined")
     scale = np.sqrt(p_s / (p_d * 10.0 ** (snr_db / 10.0)))
     scaled = seg * scale
-    return Waveform(speech.samples + scaled, speech.sample_rate), Waveform(scaled, speech.sample_rate)
+    return Waveform(speech.samples + scaled), Waveform(scaled)
 
 
 def snr_db(reference: Waveform, estimate: Waveform) -> float:

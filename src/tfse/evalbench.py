@@ -12,7 +12,7 @@ upsample by 5, lowpass with a Kaiser-windowed sinc (beta 8.555, half-length
 downsample by 8.
 
 ESTOI frames and overlap-adds with dsp.frame_grid and dsp.overlap_add, the
-same grid and summation order as the STFT.
+same half-overlap grid and summation order as the STFT.
 
 Throughput: both timers take a model. measure_rtf times one `enhance` call
 (STFT -> mask -> ISTFT) per run against audio duration; measure_train_step
@@ -34,12 +34,11 @@ import numpy as np
 from . import dsp, training
 from .config import TrainConfig, read_text, text_lines
 from .dsp import N_BINS
-from .errors import DataError, LengthError, SampleRateError
+from .errors import DataError, LengthError
 from .model import EnhancementModel, enhance, load_model
 
 ESTOI_SR = 10000
-_FRAME = 256
-_HOP = 128
+_FRAME = 256  # hop 128: half-overlap, as dsp.frame_grid frames
 _NFFT = 512
 _N_BANDS = 15
 _CF_MIN = 150.0
@@ -76,7 +75,7 @@ _HANN = np.hanning(_FRAME + 2)[1:-1]  # 256-point symmetric Hann without the zer
 def _frame_signal(x: np.ndarray) -> np.ndarray:
     if len(x) < _FRAME:
         raise LengthError(f"signal of {len(x)} samples is shorter than one {_FRAME}-sample frame")
-    return dsp.frame_grid(x, _FRAME, _HOP) * _HANN[None, :]
+    return dsp.frame_grid(x, _FRAME) * _HANN[None, :]
 
 
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +88,7 @@ def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     xf, yf = xf[keep], yf[keep]
     if not len(xf):
         raise LengthError("no frames above the silence threshold")
-    return dsp.overlap_add(xf * _HANN[None, :], _HOP), dsp.overlap_add(yf * _HANN[None, :], _HOP)
+    return dsp.overlap_add(xf * _HANN[None, :]), dsp.overlap_add(yf * _HANN[None, :])
 
 
 def _band_matrix() -> np.ndarray:
@@ -124,12 +123,10 @@ def _row_col_normalize(seg: np.ndarray) -> np.ndarray:
 def estoi(clean: dsp.Waveform, processed: dsp.Waveform) -> float:
     """Extended STOI of a processed signal against its clean reference.
 
-    Both inputs must be equal-length 16 kHz waveforms. The score is
-    invariant to positive rescaling of either signal and reaches 1.0 for
+    Both inputs must be of equal length (a Waveform is 16 kHz). The score
+    is invariant to positive rescaling of either signal and reaches 1.0 for
     identical inputs.
     """
-    if clean.sample_rate != dsp.SAMPLE_RATE or processed.sample_rate != dsp.SAMPLE_RATE:
-        raise SampleRateError(f"estoi expects {dsp.SAMPLE_RATE} Hz inputs")
     if len(clean) != len(processed):
         raise LengthError(f"length mismatch: {len(clean)} vs {len(processed)}")
     x = resample_poly(clean.samples, 5, 8)

@@ -38,7 +38,7 @@ def tonal_speech(rng: np.random.Generator, duration_s: float) -> dsp.Waveform:
         x[:fade] *= ramp
         x[-fade:] *= ramp[::-1]
     x *= 0.3 / np.max(np.abs(x))
-    return dsp.Waveform(x, sr)
+    return dsp.Waveform(x)
 
 
 def filtered_noise(rng: np.random.Generator, duration_s: float) -> dsp.Waveform:
@@ -51,7 +51,7 @@ def filtered_noise(rng: np.random.Generator, duration_s: float) -> dsp.Waveform:
     weight = 0.1 + 0.9 / (1.0 + np.exp(-(f - 2500.0) / 250.0))
     x = np.fft.irfft(spec * weight, n)
     x *= 0.3 / np.max(np.abs(x))
-    return dsp.Waveform(x, sr)
+    return dsp.Waveform(x)
 
 
 def make_corpus(

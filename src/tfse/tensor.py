@@ -155,9 +155,7 @@ class Tensor:
             self.grad += g.astype(self.data.dtype, copy=False)
 
     def _accumulate_at(self, idx, g: np.ndarray) -> None:
-        """Add g into the region self.grad[idx] (basic indexing, no duplicates)."""
-        if not self.requires_grad:
-            return
+        """Add g into the region self.grad[idx] (basic indexing, no duplicates), for getitem's node."""
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, dtype=self.data.dtype)
         self.grad[idx] += g

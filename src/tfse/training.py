@@ -238,10 +238,13 @@ def load_checkpoint(ckpt_dir: str):
     opt = AdamState()
     opt_path = os.path.join(ckpt_dir, OPTIM_ARCHIVE)
     if os.path.exists(opt_path):
+        params = dict(model.named_parameters())
         for key, arr in load_tensors(opt_path).items():
             kind, _, name = key.partition(".")
-            if kind not in ("m", "v") or not name:
-                raise FormatError(f"{opt_path}: {key!r} is not an m.<param> or v.<param> moment")
+            if kind not in ("m", "v") or name not in params:
+                raise FormatError(f"{opt_path}: {key!r} is not an m.<param> or v.<param> moment of the model")
+            if arr.shape != params[name].shape:
+                raise FormatError(f"{opt_path}: {key!r} has shape {arr.shape}, its parameter {params[name].shape}")
             (opt.m if kind == "m" else opt.v)[name] = arr.astype(model.dtype, copy=False)
     state_path = os.path.join(ckpt_dir, STATE_FILE)
     state = _read_state(state_path)

@@ -145,8 +145,8 @@ def _chunk_terms(q, k, weights, C, n):
 def _scan(chunk_qkv, ig, fg, h, record, state=None):
     """The chunk loops of mlstm_branch: fill h [H, L, dh] from the gates [H, L] and chunk_qkv(sl), the
     q, k and v [H, K, dh] of frames sl, from the (C, n, m) a carry slot (module.carried) holds, if any,
-    leaving the last chunk's end state in it. Return the reverse loop scan_grad(g, q, k, v) -> (dq, dk,
-    dv, di, df) on the whole clip's q, k and v; it reads the chunk starts kept when record."""
+    leaving the last chunk's end state in it. Return the reverse loop scan_grad(g) -> (dq, dk, dv, di,
+    df), which forms each chunk's q, k and v by chunk_qkv(sl) again and reads the chunk starts kept when record."""
     H, L = ig.shape
     chunks = [slice(s, min(s + CHUNK, L)) for s in range(0, L, CHUNK)]
     mask = np.triu(np.full((min(CHUNK, L),) * 2, -np.inf, dtype=ig.dtype), 1)
@@ -168,12 +168,12 @@ def _scan(chunk_qkv, ig, fg, h, record, state=None):
     if state is not None:
         state[:] = C, n, m
 
-    def scan_grad(g, qd, kd, vd):
-        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+    def scan_grad(g):
+        dq, dk, dv = np.empty_like(h), np.empty_like(h), np.empty_like(h)
         di, df = np.empty_like(ig), np.empty_like(fg)
         dC = dn = None  # the last chunk passes no state on
         for sl, (C0, n0, m0) in zip(reversed(chunks), reversed(starts)):
-            qc, kc, vc, gc = qd[:, sl], kd[:, sl], vd[:, sl], g[:, sl]
+            (qc, kc, vc), gc = chunk_qkv(sl), g[:, sl]
             W, a, _ = weights = last if dC is None else _chunk_weights(ig[:, sl], fg[:, sl], m0, mask)
             S, P, qC, qn, dot, denom = _chunk_terms(qc, kc, weights, C0, n0)
             d_num = gc / denom[:, :, None]
@@ -234,8 +234,8 @@ def mlstm_branch(xc: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, i_raw: Tensor, 
                  state: list | None = None) -> Tensor:
     """The mlstm_cell_step chain up to summation order, h [N * H, L, dh], on the gates [N * H, L] and on
     q, k and v, the block maps of the conv output xc [..., L, d_inner] (project_heads), k scaled by
-    d_head^-1/2, as one node, from a zero state or a carry slot's (_scan). The forward projects a chunk at
-    a time; the backward rebuilds the whole clip's q, k and v once and maps dq, dk and dv back."""
+    d_head^-1/2, as one node, from a zero state or a carry slot's (_scan). The forward and the backward
+    each project a chunk at a time, the same way; the backward maps the whole clip's dq, dk and dv back."""
     inputs = (xc, wq, wk, wv, i_raw, f_raw)
     xd, ig, fg = (np.ascontiguousarray(x.data) for x in (xc, i_raw, f_raw))
     (nb, bs, _), (L, d_inner), ws = wq.shape, xd.shape[-2:], (wq.data, wk.data, wv.data)
@@ -245,7 +245,7 @@ def mlstm_branch(xc: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, i_raw: Tensor, 
     scan_grad = _scan(lambda sl: project_qkv(xd[..., sl, :], ws, heads, k_scale), ig, fg, h, T.is_recording(inputs), state)
 
     def grad_fn(g):
-        dq, dk, dv, di, df = scan_grad(g, *project_qkv(xd, ws, heads, k_scale))
+        dq, dk, dv, di, df = scan_grad(g)
         dk *= k_scale
         for w, d in zip((wq, wk, wv), (dq, dk, dv)):  # heads ahead of clips: a block's N * L rows evenly spaced
             d = np.ascontiguousarray(d.reshape(N, heads, L, -1).swapaxes(0, 1))  # [H, N, L, dh]

@@ -194,6 +194,24 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="bad .* field"):
             load_tensors(self._write(tmp_path, blob))
 
+    def test_manifest_entry_of_an_unsupported_dtype(self, tmp_path):
+        blob = b"tensor-archive 1\ntensors 1\nx float16 2 0 4\npayload\n" + b"\x00" * 4
+        with pytest.raises(FormatError, match="unsupported dtype float16"):
+            load_tensors(self._write(tmp_path, blob))
+
+    @pytest.mark.parametrize("name", ["a b", "a\tb", "tail\n", ""], ids=["space", "tab", "newline", "empty"])
+    def test_save_rejects_a_name_that_is_empty_or_holds_whitespace(self, tmp_path, name):
+        path = tmp_path / "n.tensors"
+        with pytest.raises(FormatError, match="non-empty and whitespace-free"):
+            save_tensors(str(path), {name: np.zeros(2, np.float32)})
+        assert not path.exists() and not (tmp_path / "n.tensors.tmp").exists()
+
+    def test_save_rejects_an_unsupported_dtype(self, tmp_path):
+        path = tmp_path / "h.tensors"
+        with pytest.raises(FormatError, match="unsupported dtype float16 for tensor 'x'"):
+            save_tensors(str(path), {"ok": np.zeros(2, np.float32), "x": np.zeros(2, np.float16)})
+        assert not path.exists() and not (tmp_path / "h.tensors.tmp").exists()
+
     def test_empty_dict_round_trips(self, tmp_path):
         path = str(tmp_path / "e.tensors")
         save_tensors(path, {})

@@ -45,6 +45,15 @@ class TestWaveform:
     def test_duration(self):
         assert dsp.Waveform(np.zeros(16000)).duration == pytest.approx(1.0)
 
+    def test_rejects_empty(self):
+        with pytest.raises(DegenerateInputError, match="empty"):
+            dsp.Waveform(np.zeros(0))
+
+    @pytest.mark.parametrize("rate", [8000, 44100, 0])
+    def test_rejects_any_rate_but_16_khz(self, rate):
+        with pytest.raises(SampleRateError, match=f"{rate} Hz"):
+            dsp.Waveform(np.zeros(100), rate)
+
 
 class TestStft:
     def test_shape_and_frame_count(self, rng):
@@ -100,22 +109,32 @@ class TestStft:
 
 
 class TestFrameGridAndOverlapAdd:
-    def test_rows_are_hop_spaced_slices_and_the_tail_is_dropped(self):
-        x = np.arange(11.0)
-        frames = dsp.frame_grid(x, 4, 3)
-        assert frames.shape == (3, 4)
-        for m in range(3):
-            assert np.array_equal(frames[m], x[3 * m:3 * m + 4])
+    # n = 6: a frame is two 3-sample blocks, and a remainder under one block is dropped
+    @pytest.mark.parametrize("length, count", [(6, 1), (8, 1), (12, 3), (13, 3), (14, 3)])
+    def test_rows_are_half_overlapping_slices(self, length, count):
+        x = np.arange(float(length))
+        frames = dsp.frame_grid(x, 6)
+        assert frames.shape == (count, 6)
+        for m in range(count):
+            assert np.array_equal(frames[m], x[3 * m:3 * m + 6])
 
-    def test_overlap_add_sums_each_row_at_its_hop(self):
-        out = dsp.overlap_add(np.ones((3, 4)), 2)
+    def test_overlap_add_sums_each_row_half_a_row_on(self):
+        out = dsp.overlap_add(np.ones((3, 4)))
         assert out.dtype == np.float64
         assert np.array_equal(out, [1, 1, 2, 2, 2, 2, 1, 1])
 
+    def test_overlap_add_matches_the_in_order_sum_bit_for_bit(self, rng):
+        frames = rng.normal(size=(9, 6)).astype(np.float32)
+        frames[rng.random(frames.shape) < 0.3] = -0.0
+        want = np.zeros(30)
+        for m, row in enumerate(frames):
+            want[3 * m:3 * m + 6] += row
+        assert dsp.overlap_add(frames).tobytes() == want.tobytes()
+
     def test_overlap_add_of_the_grid_counts_frames_per_sample(self, rng):
         x = rng.normal(size=1000)
-        frames = dsp.frame_grid(x, 256, 128)
-        back = dsp.overlap_add(frames, 128)
+        frames = dsp.frame_grid(x, 256)
+        back = dsp.overlap_add(frames)
         assert np.array_equal(back[128:-128], 2 * x[128:len(back) - 128])
 
 
@@ -271,6 +290,40 @@ class TestWavIo:
         path = self._raw_wav(tmp_path, self.PCM16_FMT[:8], 20, b"\x00" * 20)
         with pytest.raises(FormatError, match="fmt chunk"):
             dsp.read_wav(path)
+
+    @staticmethod
+    def _extensible_fmt(tag: int, bits: int, size: int = 40) -> bytes:
+        import struct
+
+        width = bits // 8
+        fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 16000 * width, width, bits, 22, bits, 0x4)
+        guid = struct.pack("<H", tag) + bytes.fromhex("000000001000800000aa00389b71")  # KSDATAFORMAT_SUBTYPE_*
+        return (fmt + guid)[:size]
+
+    @pytest.mark.parametrize("encoding, tag, bits", [("pcm16", 1, 16), ("float32", 3, 32)])
+    def test_extensible_fmt_reads_as_its_subformat(self, tmp_path, rng, encoding, tag, bits):
+        w = dsp.Waveform(rng.uniform(-0.9, 0.9, 300))
+        plain = str(tmp_path / "plain.wav")
+        dsp.write_wav(plain, w, encoding)
+        data = open(plain, "rb").read()[-300 * bits // 8:]
+        path = self._raw_wav(tmp_path, self._extensible_fmt(tag, bits), len(data), data)
+        assert dsp.read_wav(path).samples.tobytes() == dsp.read_wav(plain).samples.tobytes()
+
+    def test_extensible_fmt_under_40_bytes_is_an_unsupported_encoding(self, tmp_path):
+        path = self._raw_wav(tmp_path, self._extensible_fmt(1, 16, size=24), 20, b"\x00" * 20)
+        with pytest.raises(FormatError, match="unsupported encoding"):
+            dsp.read_wav(path)
+
+    def test_empty_data_chunk_raises_on_read(self, tmp_path):
+        path = self._raw_wav(tmp_path, self.PCM16_FMT, 0, b"")
+        with pytest.raises(DegenerateInputError, match="empty"):
+            dsp.read_wav(path)
+
+    def test_write_rejects_an_unknown_encoding(self, tmp_path):
+        path = tmp_path / "u.wav"
+        with pytest.raises(FormatError, match="unknown wav encoding 'pcm24'"):
+            dsp.write_wav(str(path), dsp.Waveform(np.zeros(10)), "pcm24")
+        assert not path.exists()
 
     def _read_or_tfse_error(self, tmp_path, blob: bytes) -> None:
         path = str(tmp_path / "fuzz.wav")

@@ -1,8 +1,9 @@
 """Source hygiene: every import in the package and its tests is used,
 `import tfse` leaves the training and evaluation modules unloaded, text files
 are read only through `config.read_text`, `NumericError` is raised only by the
-model's forward, the layers and the model raise no `ConfigError`, and every
-module is called with one input."""
+model's forward, `SampleRateError` only where a waveform is made or read, the
+layers and the model raise no `ConfigError`, and every module is called with
+one input."""
 
 import ast
 import importlib
@@ -159,6 +160,44 @@ def test_numeric_error_is_raised_only_by_the_model_forward():
     package = sorted((ROOT / "src" / "tfse").glob("*.py"))
     found = [p.name for p in package for name, _ in raised_names(p.read_text(encoding="utf-8")) if name == "NumericError"]
     assert found == ["model.py"]
+
+
+def raising_functions(source: str, exc: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each raise of `exc` that raised_names finds."""
+    lines = {line for name, line in raised_names(source) if name == exc}
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.lineno in lines:
+                found.append((fn, child.lineno))
+            visit(child, child.name if isinstance(child, FUNCTIONS) else fn)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_sample_rate_error_is_raised_only_where_a_waveform_is_made_or_read():
+    # Waveform owns the 16 kHz rule; read_wav checks the header only to name the file
+    package = sorted((ROOT / "src" / "tfse").glob("*.py"))
+    found = [(p.name, fn) for p in package
+             for fn, _ in raising_functions(p.read_text(encoding="utf-8"), "SampleRateError")]
+    assert found == [("dsp.py", "__post_init__"), ("dsp.py", "read_wav")]
+
+
+def test_the_raising_function_scan_names_the_innermost_function():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise SampleRateError('a')\n"
+        "    def g():\n"
+        "        raise errors.SampleRateError\n"
+        "    raise KeyError\n"
+        "class W:\n"
+        "    def h(self):\n"
+        "        raise SampleRateError('b')\n"
+    )
+    assert raising_functions(source, "SampleRateError") == [("f", 3), ("g", 5), ("h", 9)]
 
 
 def test_layers_and_the_model_raise_no_config_error():

@@ -539,6 +539,23 @@ class TestMalformedCheckpointState:
         with pytest.raises(FormatError, match="optim.tensors.*'x'"):
             load_checkpoint(small_checkpoint)
 
+    def test_optimizer_moment_of_no_parameter(self, small_checkpoint):
+        from tfse.archive import save_tensors
+
+        save_tensors(os.path.join(small_checkpoint, "optim.tensors"), {"v.no_such.w": np.zeros(2, np.float32)})
+        with pytest.raises(FormatError, match=r"optim.tensors.*'v\.no_such\.w'"):
+            load_checkpoint(small_checkpoint)
+
+    def test_optimizer_moment_of_the_wrong_shape(self, small_checkpoint):
+        from tfse.archive import save_tensors
+
+        model, *_ = load_checkpoint(small_checkpoint)
+        name, p = next(model.named_parameters())
+        save_tensors(os.path.join(small_checkpoint, "optim.tensors"),
+                     {f"m.{name}": np.zeros(p.shape, np.float32), f"v.{name}": np.zeros((p.shape[0], 1), np.float32)})
+        with pytest.raises(FormatError, match=rf"optim.tensors.*'v\.{name}' has shape \({p.shape[0]}, 1\)"):
+            load_checkpoint(small_checkpoint)
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         edits=st.dictionaries(

@@ -150,7 +150,7 @@ def chunked_scan(q, k, v, i_raw, f_raw, state=None):
     scan_grad = xlstm._scan(lambda sl: (qd[:, sl], kd[:, sl], vd[:, sl]), ig, fg, h, T.is_recording(inputs), state)
 
     def grad_fn(g):
-        for x, dx in zip(inputs, scan_grad(g, qd, kd, vd)):
+        for x, dx in zip(inputs, scan_grad(g)):
             x._accumulate(dx, owned=True)
 
     return T._make(h, inputs, grad_fn, "chunked_scan")
@@ -355,8 +355,8 @@ class TestMLSTMCore:
         with pytest.raises(ConfigError, match=r"^heads: d_inner 24 not a multiple of 4 heads x block size 4$"):
             ModelConfig(backbone="xlstm", d_model=24, heads=4, proj_factor=1.0).validate()
 
-    # two chunks: the branch forms q/k/v a chunk at a time in its forward and
-    # rebuilds the whole clip's once in its backward
+    # two chunks: the branch forms q/k/v a chunk at a time in its forward, and
+    # again a chunk at a time, last chunk first, in its backward
     @pytest.mark.parametrize("shape", [(CHUNK + 7, 12), (2, CHUNK + 7, 12)], ids=["2d", "3d"])
     def test_block_i_maps_features_i_times_block_size_onward(self, rng, shape, monkeypatch):
         core = MLSTMCore(12, np.random.default_rng(3), F64, heads=3, proj_factor=2.0)  # d_head 8: 2 blocks a head
@@ -377,10 +377,11 @@ class TestMLSTMCore:
         assert [q.shape[1] for q, _, _ in formed] == [CHUNK, 7]
         formed.clear()
         T.backward(T.sum_(core(x)))
-        assert [q.shape[1] for q, _, _ in formed] == [CHUNK, 7, L]
+        assert [q.shape[1] for q, _, _ in formed] == [CHUNK, 7, 7, CHUNK]
         chunked = [np.concatenate(parts, axis=1) for parts in zip(*formed[:2])]
-        for proj, got, rebuilt, scale in zip(
-            (core.q_proj, core.k_proj, core.v_proj), chunked, formed[2], (1.0, dh ** -0.5, 1.0)
+        rebuilt = [np.concatenate(parts, axis=1) for parts in zip(*reversed(formed[2:]))]  # in frame order
+        for proj, got, again, scale in zip(
+            (core.q_proj, core.k_proj, core.v_proj), chunked, rebuilt, (1.0, dh ** -0.5, 1.0)
         ):
             want = np.empty_like(xc)
             for i in range(di // bs):  # one block at a time on its own run of features
@@ -389,7 +390,7 @@ class TestMLSTMCore:
             # heads-first, clips folded into heads: [..., L, H * dh] -> [N * H, L, dh]
             want = want.reshape(-1, L, H, dh).transpose(0, 2, 1, 3).reshape(-1, L, dh)
             np.testing.assert_allclose(got, want, rtol=1e-12)
-            np.testing.assert_array_equal(rebuilt, got)
+            np.testing.assert_array_equal(again, got)
 
     def test_branch_is_one_graph_node(self, rng):
         core = MLSTMCore(12, np.random.default_rng(4), F64, heads=3, proj_factor=2.0)
