@@ -146,7 +146,10 @@ def read_wav(path: str) -> Waveform:
         raise FormatError(f"{path}: unsupported encoding (format tag {tag}, {bits}-bit)")
     if len(data) % (bits // 8):
         raise FormatError(f"{path}: data chunk of {len(data)} bytes is not whole {bits}-bit samples")
-    return Waveform(np.frombuffer(data, dtype=dtype).astype(np.float64) * scale)
+    try:
+        return Waveform(np.frombuffer(data, dtype=dtype).astype(np.float64) * scale)
+    except DegenerateInputError as e:  # no samples, or a non-finite one: name the file
+        raise DegenerateInputError(f"{path}: {e}") from None
 
 
 def write_wav(path: str, w: Waveform, encoding: str = "pcm16") -> None:

@@ -34,7 +34,7 @@ import numpy as np
 from . import dsp, training
 from .config import TrainConfig, read_text, text_lines
 from .dsp import N_BINS
-from .errors import DataError, LengthError
+from .errors import DataError, DegenerateInputError, LengthError
 from .model import EnhancementModel, enhance, load_model
 
 ESTOI_SR = 10000
@@ -279,7 +279,7 @@ def score_model(
     for i, (lineno, clean_path, noise_path, snr) in enumerate(entries):
         try:
             clean, noise = dsp.read_wav(clean_path), dsp.read_wav(noise_path)
-        except OSError as e:
+        except (OSError, DegenerateInputError) as e:
             raise DataError(f"{manifest_path}:{lineno}: cannot read WAV: {e}") from None
         rng = np.random.default_rng([seed, i])
         mixture, _ = dsp.mix_at_snr(clean, noise, snr, rng)

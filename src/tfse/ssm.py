@@ -14,12 +14,15 @@ selective_scan_seq builds the recurrence from graph primitives one step at a
 time and is the reference. selective_scan_par is the engine the models use:
 one graph node whose forward runs the recurrence in place over one
 d_inner x d_state state per clip of a batch, O(L) work, forming delta * u
-and the D * u skip one SEG-frame segment at a time. When the graph is
-recorded it keeps only the state entering each segment. Its backward forms
-everything else again from the six inputs by the forward's own ops: the
-time-major copies of u, delta, B and C, then per segment delta * u and the
-segment's states from its kept start, bit for bit, before the reverse scan
-over that segment
+and the D * u skip one SEG-frame segment at a time. A batch steps frame by
+frame; one clip (what enhance runs) forms a segment's exp(delta * A) and
+(delta * u) B for all its frames at once, steps in two calls a frame and
+forms the segment's y in one matmul, with the same bits (at N >= 2 that
+block form is slower). When the graph is recorded it keeps only the state entering each
+segment. Its backward forms everything else again from the six inputs by
+the forward's own ops, frame by frame for any N: the time-major copies of
+u, delta, B and C, then per segment delta * u and the segment's states from
+its kept start, bit for bit, before the reverse scan over that segment
 
     dh_t = C_t (x) dy_t + exp(delta_{t+1} * A) * dh_{t+1}
 
@@ -102,14 +105,25 @@ def selective_scan_par(u, delta, A, B, C, D, state: list | None = None) -> Tenso
     y = np.empty_like(ud)
     C_t, y_t = Cd[:, :, None, :], y[:, :, None, :]
     h, a, du = state[0] if state else np.zeros(shape, dtype=ud.dtype), np.empty(shape, dtype=ud.dtype), np.empty_like(ud[:SEG])
+    aseg, bseg = (np.empty((min(SEG, L),) + shape, dtype=ud.dtype) for _ in range(2)) if shape[0] == 1 else (None, None)
     for t0 in range(0, L, SEG):  # delta u, then the D u skip, formed one segment at a time in one buffer
         n = min(SEG, L - t0)
         if starts is not None:
             starts[t0 // SEG] = h
         np.multiply(dt[t0:t0 + n], ud[t0:t0 + n], out=du[:n])
-        for t in range(t0, t0 + n):
-            advance(h, t, du[t - t0], a, h)
-            np.matmul(C_t[t], h, out=y_t[t])
+        if aseg is None:  # a batch: one frame at a time
+            for t in range(t0, t0 + n):
+                advance(h, t, du[t - t0], a, h)
+                np.matmul(C_t[t], h, out=y_t[t])
+        else:  # one clip: a segment's exp(delta A) and (delta u) B at once, then h_t = b_t + h a_t
+            np.copyto(aseg[:n], dt[t0:t0 + n, :, None, :])  # broadcast copies scaled in place, as in advance
+            np.exp(np.multiply(aseg[:n], At, out=aseg[:n]), out=aseg[:n])
+            np.copyto(bseg[:n], du[:n, :, None, :])
+            bseg[:n] *= Bd[t0:t0 + n, :, :, None]
+            for j in range(n):  # h a_t goes into a_t's buffer, not h's: y reads every h_t of the segment
+                bseg[j] += np.multiply(bseg[j - 1] if j else h, aseg[j], out=aseg[j])
+            np.matmul(C_t[t0:t0 + n], bseg[:n], out=y_t[t0:t0 + n])
+            np.copyto(h, bseg[n - 1])
         y[t0:t0 + n] += np.multiply(ud[t0:t0 + n], D.data, out=du[:n])
     if state is not None:
         state[:] = [h]

@@ -379,12 +379,15 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _one_plus_exp_neg(x: np.ndarray) -> np.ndarray:
+    buf = np.negative(x)
     with np.errstate(over="ignore"):  # where exp(-x) overflows, inf: x / it is -0.0, silu's limit
-        return np.exp(-x) + 1.0
+        return np.add(np.exp(buf, out=buf), 1.0, out=buf)
 
 
 def silu(a: Tensor) -> Tensor:
-    out = a.data / _one_plus_exp_neg(a.data)  # x / (1 + exp(-x)), one exp
+    """x / (1 + exp(-x)): one exp, and one buffer that holds 1 + exp(-x) and then the quotient."""
+    d = _one_plus_exp_neg(a.data)
+    out = np.divide(a.data, d, out=d)
 
     def grad_fn(g):  # the backward rebuilds 1 + exp(-x) rather than keep it
         s = np.reciprocal(_one_plus_exp_neg(a.data))  # sigmoid(x)

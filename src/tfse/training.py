@@ -24,7 +24,7 @@ from . import dsp
 from . import tensor as T
 from .archive import load_tensors, save_tensors
 from .config import RunConfig, read_text, text_lines
-from .errors import ConfigError, DataError, FormatError, NumericError, TrainingAborted
+from .errors import ConfigError, DataError, DegenerateInputError, FormatError, NumericError, TrainingAborted
 from .model import EnhancementModel, build_model, load_model, save_model
 from .tensor import Tensor, backward
 
@@ -59,7 +59,7 @@ def load_corpus(manifest_path: str) -> Corpus:
             raise DataError(f"{manifest_path}:{lineno}: expected 's <path>' or 'n <path>'")
         try:
             wave = dsp.read_wav(os.path.join(base, parts[1]))
-        except OSError as e:
+        except (OSError, DegenerateInputError) as e:
             raise DataError(f"{manifest_path}:{lineno}: cannot read {parts[1]!r}: {e}") from None
         (speech if parts[0] == "s" else noise).append(wave)
     if not speech or not noise:

@@ -116,6 +116,13 @@ class TestEnhance:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["clip_0.wav", "clip_1.wav"]
 
+    def test_non_finite_input_names_its_file(self, trained_out, nan_wav, tmp_path, capsys):
+        wav_out = str(tmp_path / "out.wav")
+        code = cli.main(["enhance", "--checkpoint", latest_ckpt(trained_out), "--in", nan_wav, "--out", wav_out])
+        assert code == 2
+        assert f"{nan_wav}: waveform contains non-finite samples" in capsys.readouterr().err
+        assert not os.path.exists(wav_out)
+
     @pytest.mark.parametrize("value, error", [
         (np.nan, "model.tensors: parameter blocks.0.ffn_in.w is not finite"),  # rejected on load
         (np.finfo(np.float32).max, "transformer blocks.0: non-finite output"),  # finite, but overflows the block

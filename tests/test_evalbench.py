@@ -1,6 +1,7 @@
 """Evaluation and benchmark harness tests: intelligibility scorer sanity,
 resampler behavior, the timers, and scoring tables."""
 
+import os
 import sys
 
 import numpy as np
@@ -243,6 +244,12 @@ class TestScoreModel:
         csv = table.csv().splitlines()
         assert csv[0] == "metric,0,5"
         assert len(csv) == 4
+
+    def test_non_finite_recording_names_the_line_and_file(self, trained_ckpt, eval_manifest, nan_wav, tmp_path):
+        m = tmp_path / "eval.txt"
+        m.write_text(f"{os.path.join(os.path.dirname(eval_manifest), 'c.wav')} nan.wav 0\n")
+        with pytest.raises(DataError, match=r"eval.txt:1: .*nan.wav: waveform contains non-finite"):
+            score_model(trained_ckpt, str(m))
 
     def test_scoring_is_seed_reproducible(self, trained_ckpt, eval_manifest):
         a = score_model(trained_ckpt, eval_manifest, seed=3)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tfse import dsp
+from tfse import dsp, ssm, xlstm
 from tfse.config import NONCAUSAL_ONLY, RunConfig, read_config, resolve_config_arg
 from tfse.errors import ConfigError, DimensionError, NumericError
 from tfse.model import (
@@ -361,6 +361,11 @@ class TestWaveformPipeline:
             mask = model(spec.magnitude.astype(model.dtype)).data.astype(np.float64)
         want = dsp.istft(dsp.apply_mask(spec, dsp.Mask(mask)), len(w))
         assert enhance(model, w).samples.tobytes() == want.samples.tobytes()
+
+    def test_window_grid_lies_on_the_scan_grids(self):
+        # a window edge off the Mamba segment or the mLSTM chunk grid would split a block
+        # the whole clip runs as one, and the windowed bytes would drift
+        assert WINDOW % ssm.SEG == 0 and WINDOW % xlstm.CHUNK == 0 and WINDOW % 256 == 0
 
     @pytest.mark.parametrize("frames", [3 * WINDOW + 100, 2 * WINDOW + 5], ids=["3-windows", "remainder"])
     @pytest.mark.parametrize("preset", ["toy-mamba", "toy-xlstm", "mamba-7", "xlstm-7"])

@@ -198,6 +198,42 @@ class TestScanEquivalence:
         assert y._parents == () and y._grad_fn is None and not y.requires_grad
 
 
+class TestOneClipBlockScan:
+    """One clip (N = 1) scans in SEG-frame blocks and a batch frame by frame; they give the same bits."""
+
+    @staticmethod
+    def batch_and_clip(L, seed=0):
+        # float32 and d_inner 40, so the vector loops run their remainders too
+        u, delta, A, B, C, D = random_scan_inputs(np.random.default_rng(seed), 2 * L, 40, 16, np.float32)
+        batch = [Tensor(x.data.reshape(2, L, -1)) for x in (u, delta)] + [A]
+        batch += [Tensor(x.data.reshape(2, L, -1)) for x in (B, C)] + [D]
+        return batch, [Tensor(x.data[0]) if x.data.ndim == 3 else x for x in batch]
+
+    @pytest.mark.parametrize("L", [1, SEG - 1, SEG, SEG + 1, 2 * SEG + 5])
+    def test_block_form_gives_the_per_frame_bits(self, L):
+        batch, clip = self.batch_and_clip(L)
+        with no_grad():
+            per_frame = selective_scan_par(*batch).data[0]
+            block = selective_scan_par(*clip).data
+        for x in clip:
+            x.requires_grad = True
+        recorded = selective_scan_par(*clip)
+        assert recorded.requires_grad
+        assert block.tobytes() == per_frame.tobytes() and recorded.data.tobytes() == per_frame.tobytes()
+
+    @pytest.mark.parametrize("cut", [SEG, SEG + 3])
+    def test_carried_split_gives_the_per_frame_bits_and_state(self, cut):
+        L = 2 * SEG + 5
+        batch, clip = self.batch_and_clip(L, seed=cut)
+        batch_slot, clip_slot = [], []
+        with no_grad():
+            per_frame = selective_scan_par(*batch, state=batch_slot).data[0]
+            halves = [selective_scan_par(*[Tensor(x.data[sl]) if i in (0, 1, 3, 4) else x for i, x in enumerate(clip)],
+                                         state=clip_slot).data for sl in (slice(0, cut), slice(cut, None))]
+        assert np.concatenate(halves).tobytes() == per_frame.tobytes()
+        assert clip_slot[0][0].tobytes() == batch_slot[0][0].tobytes()
+
+
 class TestScanStability:
     def test_hundred_thousand_steps_stay_bounded(self, rng):
         L = 100_000

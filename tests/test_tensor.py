@@ -591,6 +591,23 @@ class TestLinearAndSilu:
         # overflows (x below about -88 in float32), which gives -0.0
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(dtype).eps, atol=1000 * np.finfo(dtype).tiny)
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_silu_and_its_gradient_are_the_plain_quotient_bit_for_bit(self, rng, dtype):
+        x = (rng.normal(size=1000) * 20).astype(dtype)
+        x[:8] = [0.0, -0.0, 1.0, -1.0, -100.0, 100.0, -1000.0, np.nan]
+        w = rng.normal(size=1000).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(over="ignore"):  # exp(100) overflows float32, exp(1000) both
+            out = T.silu(t)
+            T.backward(T.sum_(T.mul(out, Tensor(w))))
+            want = x / (1.0 + np.exp(-x))
+            s = 1.0 / (1.0 + np.exp(-x))
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        assert t.grad.tobytes() == (w * (s + want * (1.0 - s))).tobytes()
+        assert np.isnan(out.data[7]) and out.data[6] == 0.0 and np.signbit(out.data[6])  # x / inf is -0.0
+        if dtype == np.float32:
+            assert out.data[4] == 0.0 and np.signbit(out.data[4])
+
     def test_silu_gradient(self, rng):
         assert grad_check(lambda t: T.sum_(T.mul(T.silu(t), t)), t64(rng, 40, lo=-40.0, hi=40.0)) < 1e-8
 

@@ -596,6 +596,13 @@ class TestCorpusManifestInputs:
         with pytest.raises(DataError, match=r"manifest.txt:1.*nowhere.wav"):
             load_corpus(str(bad))
 
+    def test_non_finite_recording_names_the_line_and_file(self, tmp_path, corpus_manifest, nan_wav):
+        base = os.path.dirname(corpus_manifest)
+        bad = tmp_path / "manifest.txt"
+        bad.write_text(f"s {os.path.join(base, 'speech_000.wav')}\nn {os.path.join(base, 'noise_000.wav')}\ns nan.wav\n")
+        with pytest.raises(DataError, match=r"manifest.txt:3: .*nan.wav.*non-finite"):
+            load_corpus(str(bad))
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         lines=st.lists(
